@@ -33,7 +33,7 @@ import numpy as np
 
 from .compress import compress_truncation, compress_variational
 from .config import OptimizationConfig
-from .errors import SeqmpsError
+from .errors import InvalidInputError, SeqmpsError
 from .mps import Mps, from_state_vector, normalize
 from .seqgen import (
     CNOT,
@@ -96,9 +96,23 @@ def _target_from_args(args) -> Mps:
     return make_target(spec)
 
 
+# Per-target seeds pack (n, index) into n * _TARGETS_PER_N + index, so a suite
+# with more targets per n would repeat the seeds of the next n.
+_TARGETS_PER_N = 1_000
+
+
 def _derived_seed(master: int, n: int, index: int) -> int:
     # Stable per-target seeds so suites are reproducible row by row.
-    return master * 1_000_000 + n * 1_000 + index
+    return master * 1_000_000 + n * _TARGETS_PER_N + index
+
+
+def _suite_count(args) -> int:
+    count = args.count if args.count is not None else 20
+    if not 1 <= count <= _TARGETS_PER_N:
+        raise InvalidInputError(
+            f"--count must be in 1..{_TARGETS_PER_N} (beyond it per-target seeds repeat), got {count}"
+        )
+    return count
 
 
 def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
@@ -325,7 +339,7 @@ def cmd_fig3(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
 
 def cmd_random_suite(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
     n_max = args.n if args.n is not None else 5
-    count = args.count if args.count is not None else 20
+    count = _suite_count(args)
     cfg = _seqgen_config(args, SEQGEN_RESTARTS)
     model = GeneratorModel("xy")
     threshold = 1e-8 if args.strict else 1e-6
@@ -362,7 +376,7 @@ def cmd_random_suite(args, failures: list) -> tuple[list[str], list[dict], dict 
 
 def cmd_cnot_test(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
     n = args.n if args.n is not None else 4
-    count = args.count if args.count is not None else 20
+    count = _suite_count(args)
     cfg = _seqgen_config(args, 10)
     model = GeneratorModel("xy")
     rows = []

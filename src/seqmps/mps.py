@@ -37,7 +37,7 @@ import json
 import numpy as np
 
 from .errors import CapacityError, DegenerateStateError, InvalidInputError
-from .serialize import SCHEMA, complex_to_pairs, pairs_to_complex
+from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import MAX_DENSE_QUBITS, RANK_RTOL
 
 GAUGE_NONE = "none"
@@ -140,16 +140,16 @@ class Mps:
 
     @staticmethod
     def from_json(text: str) -> "Mps":
-        doc = json.loads(text)
-        if doc.get("schema") != SCHEMA:
-            raise InvalidInputError(f"unsupported schema {doc.get('schema')!r}")
-        phi_f = doc["phi_f"]
-        return Mps(
-            [pairs_to_complex(t) for t in doc["tensors"]],
-            pairs_to_complex(doc["phi_i"]),
-            None if phi_f is None else pairs_to_complex(phi_f),
-            doc["gauge_tag"],
-        )
+        def build(doc):
+            phi_f = doc["phi_f"]
+            return Mps(
+                [pairs_to_complex(t) for t in doc["tensors"]],
+                pairs_to_complex(doc["phi_i"]),
+                None if phi_f is None else pairs_to_complex(phi_f),
+                doc["gauge_tag"],
+            )
+
+        return load_document(text, build)
 
 
 def _require_closed(m: Mps, op: str) -> None:

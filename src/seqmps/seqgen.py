@@ -20,21 +20,29 @@ best final ancilla measurement/rotation is phi_f = v / ||v|| and the cost of
 the protocol is 2 (1 - F), the squared distance between the joint state and
 (best phi_f) x target.
 
-The optimizer sweeps step by step.  Local unitary factors are updated in
-closed form by a unitary Procrustes step against their linear environment,
-computed with phi_f frozen at its current optimum; freezing makes the
-objective Re tr(U . env), and re-eliminating phi_f afterwards can only help,
-so every update weakly increases F (alternating ascent).  For the
-Bell-diagonal generators each scalar coupling is solved exactly: the squared
-overlap is a trigonometric polynomial with harmonics {0, 1, 2} over the
-coupling period, pinned by five samples.  The dense-generator kind falls
-back to a guarded line search.  After every full sweep a safeguarded
-geodesic extrapolation (kept only when it lowers the cost) jumps along the
-slow near-linear mode that plain coordinate sweeps crawl down.
+The optimizer sweeps step by step.  Each step is held as an ordered factor
+chain [(slot, 2d x 2d matrix)] with slots ua (U^A x 1), ub_pre
+(1 x U^{B_I}), core (the entangler or fixed gate) and ub_post
+(1 x U^{B_F}); absent locals are left out, and the chain is multiplied out
+from the right.  The factors are updated one at a time, in chain order,
+against their environment (Evenbly & Vidal, PRB 79, 144108 (2009)).  With
+phi_f frozen at its current optimum the objective is Re tr(U . env), and by
+cyclicity of the trace this is Re tr(F_j . M) for factor F_j, where M is the
+cyclic rotation F_{j+1} ... env ... F_{j-1}.  A local factor takes the
+unitary Procrustes solution for M partial-traced over its identity part;
+re-eliminating phi_f afterwards can only help, so every update weakly
+increases F (alternating ascent).  For the Bell-diagonal generators each
+scalar coupling of the core is solved exactly: the squared overlap is a
+trigonometric polynomial with harmonics {0, 1, 2} over the coupling period,
+pinned by five samples.  The dense-generator kind falls back to a guarded
+line search.  After every full sweep a safeguarded geodesic extrapolation
+(kept only when it lowers the cost) jumps along the slow near-linear mode
+that plain coordinate sweeps crawl down.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -43,19 +51,18 @@ import scipy.linalg
 
 from .config import OptimizationConfig
 from .errors import InvalidInputError
-from .linalg import SIGMA, SIGMA_MINUS, SIGMA_PLUS, eigh, expm_hermitian, haar_unitary, procrustes_unitary
+from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary
 from .mps import GAUGE_LEFT, Mps
-from .serialize import SCHEMA, complex_to_pairs, pairs_to_complex
+from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
+    GATE_UNITARITY_ATOL,
+    LOCAL_UNITARITY_ATOL,
     MONOTONE_SLACK,
     SEQGEN_MAX_SWEEPS,
     SEQGEN_RESTARTS,
     SEQGEN_TOL,
     STATE_NORM_ATOL,
-    UNITARITY_ATOL,
 )
-
-MODEL_KINDS = ("xy", "xxz", "ion_xy", "full_pauli")
 
 # Common eigenbasis (Bell basis) of the three restricted generators.  Columns:
 # (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.
@@ -70,6 +77,17 @@ _BELL = np.array(
 _LAMBDA_XY = np.array([0.0, 0.0, 2.0, -2.0])   # sigma1 sigma1 + sigma2 sigma2
 _LAMBDA_ZZ = np.array([1.0, 1.0, -1.0, -1.0])  # sigma3 sigma3
 _LAMBDA_ION = np.array([1.0, -1.0, 0.0, 0.0])  # sigma+ sigma+ + sigma- sigma-
+
+# Bell-diagonal kinds: (coupling period, one row of Bell eigenvalues per
+# coupling), so Hbar = B diag(sum_m couplings[m] * rows[m]) B^T.  Spectra
+# {0, +-2} and {+-1} make xy/xxz pi-periodic up to a global phase; ion_xy's
+# {0, 0, +-1} is phase-periodic only over the full 2 pi.
+_BELL_KINDS = {
+    "xy": (np.pi, np.array([_LAMBDA_XY])),
+    "xxz": (np.pi, np.array([_LAMBDA_XY, _LAMBDA_ZZ])),
+    "ion_xy": (2.0 * np.pi, np.array([_LAMBDA_ION])),
+}
+MODEL_KINDS = (*_BELL_KINDS, "full_pauli")
 
 # CNOT with the ancilla as control and the qubit as target (basis |a, q>).
 CNOT = np.kron(np.diag([1.0, 0.0]), SIGMA[0]) + np.kron(np.diag([0.0, 1.0]), SIGMA[1])
@@ -138,29 +156,23 @@ class GeneratorModel:
             raise InvalidInputError(f"unknown model kind {self.kind!r}")
         if self.d_ancilla < 2:
             raise InvalidInputError("d_ancilla must be >= 2")
-        if self.d_ancilla != 2 and self.kind != "full_pauli":
+        if self.d_ancilla != 2 and self.kind in _BELL_KINDS:
             raise InvalidInputError(f"kind {self.kind!r} requires d_ancilla = 2")
 
     @property
     def param_count(self) -> int:
-        if self.kind == "xy" or self.kind == "ion_xy":
-            return 1
-        if self.kind == "xxz":
-            return 2
+        if self.kind in _BELL_KINDS:
+            return len(_BELL_KINDS[self.kind][1])
         return 4 * self.d_ancilla**2
 
     def coupling_interval(self) -> tuple[float, float]:
         """Search box for a single coupling.
 
-        xy/xxz are exactly pi-periodic up to a global phase (spectra {0, +-2}
-        and {+-1} on top).  ion_xy has spectrum {0, 0, +-1}, so only the full
-        2 pi period is phase-equivalent.  full_pauli has no exact period; a
-        symmetric box is used.
+        One exact phase period for the Bell-diagonal kinds (see _BELL_KINDS).
+        full_pauli has no exact period; a symmetric box is used.
         """
-        if self.kind in ("xy", "xxz"):
-            return (0.0, np.pi)
-        if self.kind == "ion_xy":
-            return (0.0, 2.0 * np.pi)
+        if self.kind in _BELL_KINDS:
+            return (0.0, _BELL_KINDS[self.kind][0])
         return (-np.pi, np.pi)
 
     def _params(self, params) -> np.ndarray:
@@ -171,19 +183,15 @@ class GeneratorModel:
             )
         return p
 
+    def _bell_eigenvalues(self, p: np.ndarray) -> np.ndarray:
+        # sum_m p[m] * rows[m], accumulated in row order.
+        return (p[:, None] * _BELL_KINDS[self.kind][1]).sum(axis=0)
+
     def generator(self, params) -> np.ndarray:
         """Hermitian Hbar(params) on ancilla x qubit."""
         p = self._params(params)
-        if self.kind == "xy":
-            return p[0] * (np.kron(SIGMA[1], SIGMA[1]) + np.kron(SIGMA[2], SIGMA[2]))
-        if self.kind == "xxz":
-            return p[0] * (
-                np.kron(SIGMA[1], SIGMA[1]) + np.kron(SIGMA[2], SIGMA[2])
-            ) + p[1] * np.kron(SIGMA[3], SIGMA[3])
-        if self.kind == "ion_xy":
-            return p[0] * (
-                np.kron(SIGMA_PLUS, SIGMA_PLUS) + np.kron(SIGMA_MINUS, SIGMA_MINUS)
-            )
+        if self.kind in _BELL_KINDS:
+            return (_BELL * self._bell_eigenvalues(p)).astype(complex) @ _BELL.T
         basis = ancilla_operator_basis(self.d_ancilla)
         h = np.zeros((2 * self.d_ancilla, 2 * self.d_ancilla), dtype=complex)
         table = p.reshape(self.d_ancilla**2, 4)
@@ -196,20 +204,13 @@ class GeneratorModel:
     def entangler(self, params) -> np.ndarray:
         """Unitary exp(-i Hbar(params)).
 
-        The three restricted kinds share the Bell eigenbasis, so their
-        exponential is three small matrix products; full_pauli goes through
-        a fresh eigendecomposition.
+        The Bell-diagonal kinds exponentiate their eigenvalues in the shared
+        Bell basis; full_pauli goes through a fresh eigendecomposition.
         """
         p = self._params(params)
-        if self.kind == "xy":
-            lam = p[0] * _LAMBDA_XY
-        elif self.kind == "xxz":
-            lam = p[0] * _LAMBDA_XY + p[1] * _LAMBDA_ZZ
-        elif self.kind == "ion_xy":
-            lam = p[0] * _LAMBDA_ION
-        else:
+        if self.kind not in _BELL_KINDS:
             return expm_hermitian(self.generator(p))
-        return (_BELL * np.exp(-1j * lam)) @ _BELL.T
+        return (_BELL * np.exp(-1j * self._bell_eigenvalues(p))) @ _BELL.T
 
 
 def build_step_unitary(
@@ -226,25 +227,69 @@ def build_step_unitary(
     verbatim (params are then ignored and may be None).  Omitted local
     factors are identities.  The result is unitary by construction.
     """
-    d = model.d_ancilla
     if fixed_gate is not None:
-        core = np.asarray(fixed_gate, dtype=complex)
-        if core.shape != (2 * d, 2 * d):
-            raise InvalidInputError(f"fixed_gate must be {2 * d}x{2 * d}")
-        if np.abs(core.conj().T @ core - np.eye(2 * d)).max() > 1e-8:
-            raise InvalidInputError("fixed_gate is not unitary")
+        core = _check_gate(fixed_gate, model.d_ancilla)
+    elif params is None:
+        raise InvalidInputError("params required when no fixed_gate is given")
     else:
-        if params is None:
-            raise InvalidInputError("params required when no fixed_gate is given")
         core = model.entangler(params)
-    u = core
-    if ub_post is not None:
-        u = u @ np.kron(np.eye(d), ub_post)
-    if ub_pre is not None:
-        u = np.kron(np.eye(d), ub_pre) @ u
-    if ua is not None:
-        u = np.kron(ua, np.eye(2)) @ u
+    return _product(_factors(core, ua, ub_pre, ub_post))
+
+
+# Partial trace that turns a local factor's cyclic environment, reshaped to
+# (d, 2, d, 2), into its Procrustes input: over the qubit for U^A x 1, over
+# the ancilla for 1 x U^B.
+_TRACE = {"ua": "aibi->ab", "ub_pre": "ajai->ji", "ub_post": "ajai->ji"}
+
+
+def _embed(slot: str, local: np.ndarray, d: int) -> np.ndarray:
+    """A local unitary as a factor on ancilla x qubit."""
+    if slot == "ua":
+        return np.kron(local, np.eye(2))
+    return np.kron(np.eye(d), local)
+
+
+def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
+    """Ordered factor chain [(slot, 2d x 2d matrix)] of one step.
+
+    The step unitary is the product of the chain left to right; absent
+    locals are left out.
+    """
+    d = core.shape[0] // 2
+    slots = {"ua": ua, "ub_pre": ub_pre, "core": core, "ub_post": ub_post}
+    return [
+        (slot, f if slot == "core" else _embed(slot, f, d))
+        for slot, f in slots.items()
+        if f is not None
+    ]
+
+
+def _step_factors(p, i: int) -> list:
+    """Factor chain of step i (0-based) of a Protocol or a _SweepState."""
+    core = p.fixed_gate if p.couplings is None else p.model.entangler(p.couplings[i])
+    return _factors(core, **{slot: None if s is None else s[i] for slot, s in p._locals.items()})
+
+
+def _product(chain: list) -> np.ndarray:
+    """Multiply a factor chain out, accumulating from the right: ua (pre (C post))."""
+    u = chain[-1][1]
+    for _, f in reversed(chain[:-1]):
+        u = f @ u
     return u
+
+
+def _local_env(chain: list, j: int, env: np.ndarray) -> np.ndarray:
+    """Procrustes input of the local factor chain[j] against env.
+
+    With U the chain's product, Re tr(U env) = Re tr(F_j M), where M is the
+    cyclic rotation chain[j+1:] + [env] + chain[:j] folded from the left;
+    M's partial trace over F_j's identity part is the matrix whose
+    Procrustes unitary maximizes the objective over F_j.
+    """
+    mats = [f for _, f in chain[j + 1 :]] + [env] + [f for _, f in chain[:j]]
+    m = functools.reduce(np.matmul, mats)
+    d = env.shape[0] // 2
+    return np.einsum(_TRACE[chain[j][0]], m.reshape(d, 2, d, 2))
 
 
 def _step_isometry(step_u: np.ndarray, init: np.ndarray, d: int) -> np.ndarray:
@@ -270,9 +315,18 @@ def _check_unitary_stack(arr, name: str, n: int, dim: int):
         raise InvalidInputError(f"{name} must have shape ({n}, {dim}, {dim})")
     eye = np.eye(dim)
     for k in range(n):
-        if np.abs(a[k].conj().T @ a[k] - eye).max() > 1e3 * UNITARITY_ATOL:
+        if np.abs(a[k].conj().T @ a[k] - eye).max() > LOCAL_UNITARITY_ATOL:
             raise InvalidInputError(f"{name}[{k}] is not unitary")
     return a
+
+
+def _check_gate(gate, d: int) -> np.ndarray:
+    g = np.asarray(gate, dtype=complex)
+    if g.shape != (2 * d, 2 * d):
+        raise InvalidInputError(f"fixed_gate must be {2 * d}x{2 * d}")
+    if np.abs(g.conj().T @ g - np.eye(2 * d)).max() > GATE_UNITARITY_ATOL:
+        raise InvalidInputError("fixed_gate is not unitary")
+    return g
 
 
 @dataclass(frozen=True)
@@ -309,10 +363,7 @@ class Protocol:
                 )
             object.__setattr__(self, "couplings", c)
         else:
-            gate = np.asarray(self.fixed_gate, dtype=complex)
-            if gate.shape != (2 * d, 2 * d):
-                raise InvalidInputError(f"fixed_gate must be {2 * d}x{2 * d}")
-            object.__setattr__(self, "fixed_gate", gate)
+            object.__setattr__(self, "fixed_gate", _check_gate(self.fixed_gate, d))
             if self.couplings is not None:
                 raise InvalidInputError("couplings and fixed_gate are exclusive")
         inits = np.asarray(self.qubit_inits, dtype=complex)
@@ -336,17 +387,18 @@ class Protocol:
             _check_unitary_stack(self.local_qubit_post, "local_qubit_post", self.n, 2),
         )
 
+    @property
+    def _locals(self) -> dict:
+        """Local unitary stacks by chain slot, None where absent."""
+        return {
+            "ua": self.local_ancilla,
+            "ub_pre": self.local_qubit_pre,
+            "ub_post": self.local_qubit_post,
+        }
+
     def step_unitary(self, k: int) -> np.ndarray:
         """Full unitary of step k (1-based)."""
-        i = k - 1
-        return build_step_unitary(
-            self.model,
-            None if self.couplings is None else self.couplings[i],
-            None if self.local_ancilla is None else self.local_ancilla[i],
-            None if self.local_qubit_pre is None else self.local_qubit_pre[i],
-            None if self.local_qubit_post is None else self.local_qubit_post[i],
-            self.fixed_gate,
-        )
+        return _product(_step_factors(self, k - 1))
 
     def step_isometry(self, k: int) -> np.ndarray:
         """Site tensor of step k: V^i[a, b] = sum_j U[(a i), (b j)] init_j."""
@@ -375,24 +427,23 @@ class Protocol:
 
     @staticmethod
     def from_json(text: str) -> "Protocol":
-        doc = json.loads(text)
-        if doc.get("schema") != SCHEMA:
-            raise InvalidInputError(f"unsupported schema {doc.get('schema')!r}")
+        def build(doc):
+            def opt(key):
+                return None if doc[key] is None else pairs_to_complex(doc[key])
 
-        def opt(key):
-            return None if doc[key] is None else pairs_to_complex(doc[key])
+            return Protocol(
+                n=doc["n"],
+                model=GeneratorModel(doc["model"]["kind"], doc["model"]["d_ancilla"]),
+                couplings=None if doc["couplings"] is None else np.asarray(doc["couplings"]),
+                qubit_inits=pairs_to_complex(doc["qubit_inits"]),
+                phi_i=pairs_to_complex(doc["phi_i"]),
+                local_ancilla=opt("local_ancilla"),
+                local_qubit_pre=opt("local_qubit_pre"),
+                local_qubit_post=opt("local_qubit_post"),
+                fixed_gate=opt("fixed_gate"),
+            )
 
-        return Protocol(
-            n=doc["n"],
-            model=GeneratorModel(doc["model"]["kind"], doc["model"]["d_ancilla"]),
-            couplings=None if doc["couplings"] is None else np.asarray(doc["couplings"]),
-            qubit_inits=pairs_to_complex(doc["qubit_inits"]),
-            phi_i=pairs_to_complex(doc["phi_i"]),
-            local_ancilla=opt("local_ancilla"),
-            local_qubit_pre=opt("local_qubit_pre"),
-            local_qubit_post=opt("local_qubit_post"),
-            fixed_gate=opt("fixed_gate"),
-        )
+        return load_document(text, build)
 
 
 def make_protocol(
@@ -541,28 +592,12 @@ class _SweepState:
         self.n = p.n
         self.fixed_gate = p.fixed_gate
         self.couplings = None if p.couplings is None else p.couplings.copy()
-        self.ua = None if p.local_ancilla is None else p.local_ancilla.copy()
-        self.ub_pre = None if p.local_qubit_pre is None else p.local_qubit_pre.copy()
-        self.ub_post = None if p.local_qubit_post is None else p.local_qubit_post.copy()
+        self._locals = {slot: None if s is None else s.copy() for slot, s in p._locals.items()}
         self.inits = p.qubit_inits.copy()
         self.phi_i = p.phi_i.copy()
         self.at, self.at_phi_i, self.at_phi_f = _target_arrays(target)
-        self.v_sites = [self._isometry(k) for k in range(1, self.n + 1)]
+        self.v_sites = [p.step_isometry(k) for k in range(1, self.n + 1)]
         self.history: list[float] = []
-
-    def _unitary(self, k: int) -> np.ndarray:
-        i = k - 1
-        return build_step_unitary(
-            self.model,
-            None if self.couplings is None else self.couplings[i],
-            None if self.ua is None else self.ua[i],
-            None if self.ub_pre is None else self.ub_pre[i],
-            None if self.ub_post is None else self.ub_post[i],
-            self.fixed_gate,
-        )
-
-    def _isometry(self, k: int) -> np.ndarray:
-        return _step_isometry(self._unitary(k), self.inits[k - 1], self.d)
 
     def left_seed(self) -> np.ndarray:
         return np.outer(self.phi_i, self.at_phi_i.conj())
@@ -585,9 +620,9 @@ class _SweepState:
             couplings=self.couplings,
             qubit_inits=self.inits,
             phi_i=self.phi_i,
-            local_ancilla=self.ua,
-            local_qubit_pre=self.ub_pre,
-            local_qubit_post=self.ub_post,
+            local_ancilla=self._locals["ua"],
+            local_qubit_pre=self._locals["ub_pre"],
+            local_qubit_post=self._locals["ub_post"],
             fixed_gate=self.fixed_gate,
         )
 
@@ -667,9 +702,7 @@ def _coupling_argmax(f2, period: float) -> float:
 
 def _sweep_once(st: _SweepState, up: bool) -> float:
     """One half-sweep (all steps, ascending or descending); returns last cost."""
-    n, d = st.n, st.d
-    eye_d = np.eye(d)
-    eye_2 = np.eye(2)
+    n = st.n
     if up:
         tails = [None] * (n + 1)
         tails[n] = st.tail_seed()
@@ -692,7 +725,7 @@ def _sweep_once(st: _SweepState, up: bool) -> float:
         else:
             l_env = lefts[k - 1]
             t_env = tail
-        cost = _update_step(st, k, l_env, t_env, eye_d, eye_2)
+        cost = _update_step(st, k, l_env, t_env)
         if up:
             left = _transfer_up(l_env, st.v_sites[k - 1], st.at[k - 1])
         else:
@@ -700,14 +733,18 @@ def _sweep_once(st: _SweepState, up: bool) -> float:
     return cost
 
 
-def _update_step(st: _SweepState, k: int, l_env, t_env, eye_d, eye_2) -> float:
-    """Optimize all enabled factors of step k against fixed environments."""
+def _update_step(st: _SweepState, k: int, l_env, t_env) -> float:
+    """Optimize the enabled factors of step k, in chain order, against fixed environments.
+
+    Each update is a closed-form ascent step (a Procrustes solution for a
+    local, an accepted-only line search for the couplings; a fixed gate is
+    left alone), so the cost history stays non-increasing.
+    """
     i = k - 1
     d = st.d
-    a_site = st.at[i]
     s = st.inits[i]
     # bt[i] = l_env @ A^i(dag): the target side folded into the environment.
-    bt = np.einsum("bc,idc->ibd", l_env, a_site.conj())
+    bt = np.einsum("bc,idc->ibd", l_env, st.at[i].conj())
     tm_mat = t_env.reshape(d, -1)
 
     def v_of_unitary(u):
@@ -715,113 +752,65 @@ def _update_step(st: _SweepState, k: int, l_env, t_env, eye_d, eye_2) -> float:
         x = np.tensordot(v_site, bt, axes=([0, 2], [0, 1]))
         return tm_mat @ x.reshape(-1)
 
-    def assemble(core):
-        u = core
-        if st.ub_post is not None:
-            u = u @ np.kron(eye_d, st.ub_post[i])
-        if st.ub_pre is not None:
-            u = np.kron(eye_d, st.ub_pre[i]) @ u
-        if st.ua is not None:
-            u = np.kron(st.ua[i], eye_2) @ u
-        return u
-
-    def core_now():
-        if st.fixed_gate is not None:
-            return st.fixed_gate
-        return st.model.entangler(st.couplings[i])
-
-    core = core_now()
-    v = v_of_unitary(assemble(core))
-    fnorm = np.linalg.norm(v)
-
-    def record():
-        st.history.append(2.0 * (1.0 - min(fnorm, 1.0 + 1e-9)))
-
-    def env_for_total():
+    def env_for_total(v, fnorm):
         # Environment of the full step unitary with phi_f frozen at v/||v||:
         # Re tr(U_total @ env) is the frozen objective.
         phi = v / fnorm if fnorm > 1e-300 else _basis_vec(d)
         u_fold = np.einsum("g,gbc->bc", phi.conj(), t_env)
         w = np.einsum("ipc,bc->ipb", bt, u_fold)  # w[i, b', b] = (bt_i @ u^T)
-        env = np.einsum("j,ipb->pjbi", s, w).reshape(2 * d, 2 * d)
-        return env
+        return np.einsum("j,ipb->pjbi", s, w).reshape(2 * d, 2 * d)
 
-    # Factor updates: ancilla local, qubit pre-local, couplings, qubit
-    # post-local.  Each is a closed-form ascent step, so the cost history
-    # stays non-increasing.
-    if st.ua is not None:
-        env = env_for_total()
-        m = (np.kron(eye_d, st.ub_pre[i]) if st.ub_pre is not None else np.eye(2 * d)) @ core
-        if st.ub_post is not None:
-            m = m @ np.kron(eye_d, st.ub_post[i])
-        m = (m @ env).reshape(d, 2, d, 2)
-        st.ua[i] = procrustes_unitary(np.einsum("aibi->ab", m))
-        v = v_of_unitary(assemble(core))
+    chain = _step_factors(st, i)
+    u = _product(chain)
+    v = v_of_unitary(u)
+    fnorm = np.linalg.norm(v)
+    for j, (slot, _) in enumerate(chain):
+        if slot != "core":
+            local = procrustes_unitary(_local_env(chain, j, env_for_total(v, fnorm)))
+            st._locals[slot][i] = local
+            chain[j] = (slot, _embed(slot, local, d))
+        elif st.couplings is not None:
+            _search_couplings(st.model, st.couplings[i], chain, j, v_of_unitary)
+        else:
+            continue
+        u = _product(chain)
+        v = v_of_unitary(u)
         fnorm = np.linalg.norm(v)
-        record()
-
-    if st.ub_pre is not None:
-        env = env_for_total()
-        m = core
-        if st.ub_post is not None:
-            m = m @ np.kron(eye_d, st.ub_post[i])
-        m = m @ env
-        if st.ua is not None:
-            m = m @ np.kron(st.ua[i], eye_2)
-        m = m.reshape(d, 2, d, 2)
-        st.ub_pre[i] = procrustes_unitary(np.einsum("ajai->ji", m))
-        v = v_of_unitary(assemble(core))
-        fnorm = np.linalg.norm(v)
-        record()
-
-    if st.couplings is not None and st.fixed_gate is None:
-        lo, hi = st.model.coupling_interval()
-        exact = st.model.kind != "full_pauli"
-        for m_idx in range(st.model.param_count):
-            params = st.couplings[i]
-
-            def f2_of(theta, m_idx=m_idx, params=params):
-                trial = params.copy()
-                trial[m_idx] = theta
-                vv = v_of_unitary(assemble(st.model.entangler(trial)))
-                return float(np.linalg.norm(vv) ** 2)
-
-            # Only accept the line-search result if it beats the current
-            # value, so the cost stays non-increasing.
-            if exact:
-                cand = _coupling_argmax(f2_of, hi - lo)
-                if f2_of(cand) >= f2_of(params[m_idx]):
-                    st.couplings[i, m_idx] = cand
-            else:
-
-                def cost_of(theta, f2_of=f2_of):
-                    return 2.0 * (1.0 - np.sqrt(max(f2_of(theta), 0.0)))
-
-                cand = _golden_min(cost_of, lo, hi)
-                if cost_of(cand) <= cost_of(params[m_idx]):
-                    st.couplings[i, m_idx] = cand
-        core = core_now()
-        v = v_of_unitary(assemble(core))
-        fnorm = np.linalg.norm(v)
-        record()
-
-    if st.ub_post is not None:
-        env = env_for_total()
-        m = env
-        if st.ua is not None:
-            m = m @ np.kron(st.ua[i], eye_2)
-        if st.ub_pre is not None:
-            m = m @ np.kron(eye_d, st.ub_pre[i])
-        m = (m @ core).reshape(d, 2, d, 2)
-        st.ub_post[i] = procrustes_unitary(np.einsum("ajai->ji", m))
-        v = v_of_unitary(assemble(core))
-        fnorm = np.linalg.norm(v)
-        record()
-
-    if not st.history:
-        record()
-    st.v_sites[i] = _step_isometry(assemble(core), s, d)
+        st.history.append(2.0 * (1.0 - min(fnorm, 1.0 + 1e-9)))
+    st.v_sites[i] = _step_isometry(u, s, d)
     return st.history[-1]
+
+
+def _search_couplings(model: GeneratorModel, params: np.ndarray, chain: list, j: int, v_of_unitary):
+    """Line-search each coupling of one step in turn, updating params in place.
+
+    Every trial entangler goes into the core slot chain[j], so an evaluation
+    is one chain product; on return the slot holds the entangler of params.
+    A candidate is accepted only if it beats the current value, so the cost
+    stays non-increasing.
+    """
+    lo, hi = model.coupling_interval()
+
+    def f2_of(theta, m):
+        trial = params.copy()
+        trial[m] = theta
+        chain[j] = ("core", model.entangler(trial))
+        return float(np.linalg.norm(v_of_unitary(_product(chain))) ** 2)
+
+    for m in range(model.param_count):
+        if model.kind in _BELL_KINDS:
+            cand = _coupling_argmax(lambda theta: f2_of(theta, m), hi - lo)
+            if f2_of(cand, m) >= f2_of(params[m], m):
+                params[m] = cand
+        else:
+
+            def cost_of(theta):
+                return 2.0 * (1.0 - np.sqrt(max(f2_of(theta, m), 0.0)))
+
+            cand = _golden_min(cost_of, lo, hi)
+            if cost_of(cand) <= cost_of(params[m]):
+                params[m] = cand
+    chain[j] = ("core", model.entangler(params))
 
 
 def _update_phi_i(st: _SweepState) -> None:
@@ -851,38 +840,16 @@ def _unitary_power(delta: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _snapshot(st: _SweepState):
-    return (
-        None if st.ua is None else st.ua.copy(),
-        None if st.ub_pre is None else st.ub_pre.copy(),
-        None if st.ub_post is None else st.ub_post.copy(),
-        None if st.couplings is None else st.couplings.copy(),
-    )
+    # (ua, ub_pre, ub_post, couplings)
+    return tuple(None if s is None else s.copy() for s in (*st._locals.values(), st.couplings))
 
 
 def _load_snapshot(st: _SweepState, snap) -> None:
-    ua, ub_pre, ub_post, couplings = snap
-    if ua is not None:
-        st.ua[:] = ua
-    if ub_pre is not None:
-        st.ub_pre[:] = ub_pre
-    if ub_post is not None:
-        st.ub_post[:] = ub_post
-    if couplings is not None:
-        st.couplings[:] = couplings
-    eye_d = np.eye(st.d)
-    eye_2 = np.eye(2)
+    for s, saved in zip((*st._locals.values(), st.couplings), snap):
+        if saved is not None:
+            s[:] = saved
     for i in range(st.n):
-        if st.fixed_gate is not None:
-            u = st.fixed_gate
-        else:
-            u = st.model.entangler(st.couplings[i])
-        if st.ub_post is not None:
-            u = u @ np.kron(eye_d, st.ub_post[i])
-        if st.ub_pre is not None:
-            u = np.kron(eye_d, st.ub_pre[i]) @ u
-        if st.ua is not None:
-            u = np.kron(st.ua[i], eye_2) @ u
-        st.v_sites[i] = _step_isometry(u, st.inits[i], st.d)
+        st.v_sites[i] = _step_isometry(_product(_step_factors(st, i)), st.inits[i], st.d)
 
 
 def _extrapolated(st: _SweepState, prev, cur, beta: float):

@@ -7,9 +7,34 @@ json module, whose shortest-repr encoding round-trips IEEE doubles exactly
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from .errors import InvalidInputError, SeqmpsError
+
 SCHEMA = "seqmps/1"
+
+
+def load_document(text: str, build):
+    """Parse a seqmps JSON document and return build(doc).
+
+    Text that is not JSON, a schema other than SCHEMA, and missing or
+    wrong-typed fields all raise InvalidInputError.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"not a JSON document: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise InvalidInputError(f"unsupported schema {schema!r}")
+    try:
+        return build(doc)
+    except SeqmpsError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
 
 def complex_to_pairs(a: np.ndarray) -> list:

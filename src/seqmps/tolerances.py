@@ -8,6 +8,8 @@ ad hoc at call sites.  Values are absolute unless noted otherwise.
 HERMITICITY_ATOL = 1e-12      # max |h - h^dag| accepted by eigh, relative to max(1, |h|)
 UNITARITY_ATOL = 1e-12        # max |u^dag u - 1| accepted where a unitary is required
 STATE_NORM_ATOL = 1e-12       # single-system state vectors must be normalized to this
+LOCAL_UNITARITY_ATOL = 1e3 * UNITARITY_ATOL  # per-step local unitary stacks of a Protocol
+GATE_UNITARITY_ATOL = 1e-8    # a fixed entangling gate given to a Protocol or build_step_unitary
 
 # Rank decisions: singular values below RANK_RTOL * s_max are treated as zero.
 RANK_RTOL = 1e-12

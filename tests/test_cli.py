@@ -156,6 +156,19 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     assert err["error"] == "InvalidInputError"
 
 
+def test_suite_count_outside_the_seed_space_exits_2(capsys):
+    # Seeds pack (n, index) as n * 1000 + index, so index 1000 would repeat
+    # the next n's first target, and an empty suite has no summary; such
+    # counts are refused before any work.
+    for command in ("random-suite", "cnot-test"):
+        for count in ("1001", "0"):
+            code = main(["--command", command, "--n", "3", "--count", count])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "InvalidInputError"
+            assert "--count" in err["message"]
+
+
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["--command", "fig2"])

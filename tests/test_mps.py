@@ -1,5 +1,7 @@
 """MPS container, gauge moves and conversions against dense oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,8 +189,16 @@ def test_mps_json_round_trip_is_exact():
     assert all(np.array_equal(a, b) for a, b in zip(back.tensors, m.tensors))
     assert np.array_equal(back.phi_i, m.phi_i)
     assert np.array_equal(back.phi_f, m.phi_f)
-    with pytest.raises(InvalidInputError):
-        Mps.from_json('{"schema": "something-else"}')
+    doc = json.loads(m.to_json())
+    for text in (
+        '{"schema": "something-else"}',
+        json.dumps({"schema": doc["schema"]}),  # missing fields
+        json.dumps({**doc, "tensors": 5}),  # wrong type
+        json.dumps({**doc, "phi_i": [[1.0, 0.0], [1.0]]}),  # ragged pairs
+        "not json",
+    ):
+        with pytest.raises(InvalidInputError):
+            Mps.from_json(text)
 
 
 def test_truncation_noop_when_keep_covers_bond():

@@ -1,5 +1,8 @@
 """Sequential generation: models, protocols, fidelity and optimization."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -176,6 +179,18 @@ def test_build_step_unitary_fixed_gate():
         seqmps.build_step_unitary(model, None, fixed_gate=np.ones((4, 4)))
 
 
+def test_fixed_gate_is_checked_when_the_protocol_is_built():
+    model = GeneratorModel("xy")
+    with pytest.raises(InvalidInputError):
+        seqmps.make_protocol(model, 2, fixed_gate=np.ones((4, 4)))
+    with pytest.raises(InvalidInputError):
+        seqmps.make_protocol(model, 2, fixed_gate=np.eye(3))
+    doc = json.loads(seqmps.make_protocol(model, 2, fixed_gate=CNOT).to_json())
+    doc["fixed_gate"][0][0] = [2.0, 0.0]
+    with pytest.raises(InvalidInputError):
+        Protocol.from_json(json.dumps(doc))
+
+
 def test_cnot_controls_on_the_ancilla():
     ref = np.zeros((4, 4))
     ref[0, 0] = ref[1, 1] = 1.0  # ancilla |0>: qubit untouched
@@ -261,8 +276,17 @@ def test_protocol_json_round_trip():
     fixed_back = Protocol.from_json(fixed.to_json())
     assert fixed_back.couplings is None
     assert np.array_equal(fixed_back.fixed_gate, CNOT)
-    with pytest.raises(InvalidInputError):
-        Protocol.from_json('{"schema": "nope"}')
+    doc = json.loads(p.to_json())
+    for text in (
+        '{"schema": "nope"}',
+        json.dumps({"schema": doc["schema"]}),  # missing fields
+        json.dumps({**doc, "model": 5}),  # wrong type
+        json.dumps({**doc, "model": "xxz"}),
+        json.dumps({**doc, "phi_i": [[1.0, 0.0], [1.0]]}),  # ragged pairs
+        "not json",
+    ):
+        with pytest.raises(InvalidInputError):
+            Protocol.from_json(text)
 
 
 @pytest.mark.parametrize("kind,seed", [("xy", 50), ("xxz", 51), ("full_pauli", 52)])
@@ -419,21 +443,29 @@ def test_optimize_monotone_history_all_variants():
         assert abs(h[-1] - report.cost) < 1e-9
 
 
-def test_optimized_ancilla_rotation_is_procrustes_optimal():
-    # At convergence no single per-step ancilla unitary can be improved:
+@pytest.fixture(scope="module")
+def all_locals_optimum():
+    # A bond-4 target is out of reach of a 2-level ancilla, so the optimum is
+    # a genuine one (1-F ~ 2e-3).  The start is generic: from identity locals
+    # and |0> inits the qubit post-rotation only ever acts on |0>, so a wrong
+    # environment for it would go unseen.
+    target = seqmps.random_mps(4, 4, seed=1)
+    p0 = random_protocol(GeneratorModel("xy"), 4, seed=2)
+    p, report = seqmps.optimize(p0, target, seqmps.default_config(seed=2, restarts=1))
+    assert report.one_minus_f > 1e-4
+    return target, p, report
+
+
+@pytest.mark.parametrize("field", ["local_ancilla", "local_qubit_pre", "local_qubit_post"])
+def test_optimized_ancilla_rotation_is_procrustes_optimal(all_locals_optimum, field):
+    # At convergence no single per-step local unitary can be improved:
     # 1000 random replacements at one step never increase the fidelity.
-    target = seqmps.w_state(4)
-    p0 = seqmps.make_protocol(GeneratorModel("xy"), 4, phi_i=[0.0, 1.0], with_ancilla=True)
-    p, report = seqmps.optimize(p0, target, seqmps.default_config(seed=2))
+    target, p, report = all_locals_optimum
     rng = np.random.default_rng(123)
     for _ in range(1000):
-        stack = np.array(p.local_ancilla)
-        stack[1] = seqmps.haar_unitary(2, rng)
-        trial = Protocol(
-            n=p.n, model=p.model, couplings=p.couplings, qubit_inits=p.qubit_inits,
-            phi_i=p.phi_i, local_ancilla=stack,
-            local_qubit_pre=p.local_qubit_pre, local_qubit_post=p.local_qubit_post,
-        )
+        stack = np.array(getattr(p, field))
+        stack[1] = seqmps.haar_unitary(stack.shape[1], rng)
+        trial = dataclasses.replace(p, **{field: stack})
         assert seqmps.fidelity(trial, target).fidelity <= report.fidelity + 1e-10
 
 
