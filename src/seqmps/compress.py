@@ -16,9 +16,13 @@ singular values of the stacked site matrix and re-canonicalizes.
 compress_variational does alternating least squares in mixed-canonical
 gauge: with all other sites isometric, the optimal tensor at the active site
 is simply the target's environment there, and its Frobenius norm is the
-overlap.  Each half-sweep walks the chain once (up: site 1 to n, down: n to
-1), moving the gauge center by QR as it goes.  Initialized from the
-truncation result (default) its error can only improve on truncation.
+overlap.  A half-sweep folds the environments ahead of the walk first
+(``below[k]`` holds sites [0, k), ``above[k]`` sites (k, n)), then walks the
+chain once (up: site 1 to n, down: n to 1), moving the gauge center by LQ
+going up and by QR going down, and folds each passed site behind it.  The
+contractions are the kernels of ``mps``; ``above`` is stored conjugated (see
+the ``mps`` module docstring).  Initialized from the truncation result
+(default) its error can only improve on truncation.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ import numpy as np
 from .config import OptimizationConfig
 from .errors import InvalidInputError
 from .mps import GAUGE_LEFT, Mps, canonicalize_left, norm, normalize, overlap, truncate_per_matrix
+from .mps import _absorb_boundaries, _center_down, _center_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA
-from .tolerances import MONOTONE_SLACK
+from .tolerances import FIDELITY_CLAMP, FIDELITY_SLACK, MONOTONE_SLACK, ZERO_NORM
 
 METHOD_TRUNCATION = "truncation"
 METHOD_VARIATIONAL = "variational"
@@ -60,7 +65,7 @@ class CompressionReport:
             raise InvalidInputError(f"unknown compression method {self.method!r}")
         if self.d_prime < 1:
             raise InvalidInputError("d_prime must be >= 1")
-        if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
+        if not -FIDELITY_SLACK <= self.fidelity <= FIDELITY_CLAMP:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
         object.__setattr__(self, "error", max(float(self.error), 0.0))
         h = np.asarray(self.sweep_history, dtype=float)
@@ -102,7 +107,7 @@ def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionRepo
         d_prime=d_prime,
         method=METHOD_TRUNCATION,
         error=_error_from_overlap(ov),
-        fidelity=min(float(abs(ov)), 1.0 + 1e-9),
+        fidelity=min(float(abs(ov)), FIDELITY_CLAMP),
     )
 
 
@@ -117,32 +122,6 @@ def _random_trial(target: Mps, d_prime: int, rng: np.random.Generator) -> Mps:
     phi_i = rng.standard_normal(dims[0]) + 1j * rng.standard_normal(dims[0])
     phi_f = rng.standard_normal(dims[-1]) + 1j * rng.standard_normal(dims[-1])
     return normalize(canonicalize_left(Mps(tensors, phi_i, phi_f)))
-
-
-def _absorb_boundaries(m: Mps) -> list[np.ndarray]:
-    """Tensors of m with phi_i and conj(phi_f) contracted into the edge sites.
-
-    The result represents the same state with 1-dimensional boundary vectors
-    equal to 1, which simplifies the sweep bookkeeping.
-    """
-    ts = [t.copy() for t in m.tensors]
-    ts[0] = np.einsum("iab,b->ia", ts[0], m.phi_i)[:, :, None]
-    ts[-1] = np.einsum("a,iab->ib", m.phi_f.conj(), ts[-1])[:, None, :]
-    return ts
-
-
-def _gauge_to_site1(ts: list[np.ndarray]) -> None:
-    """QR-orthogonalize sites n..2 in place, leaving the gauge center at 1.
-
-    Absorbing a non-unit phi_f breaks the isometry of site n, and the first
-    up half-sweep needs every site above the center isometric; this exact
-    gauge pass restores that without changing the state.
-    """
-    for k in range(len(ts), 1, -1):
-        t = ts[k - 1]
-        q, r = np.linalg.qr(t.reshape(2 * t.shape[1], t.shape[2]))
-        ts[k - 1] = q.reshape(2, t.shape[1], -1)
-        ts[k - 2] = np.einsum("ab,ibc->iac", r, ts[k - 2])
 
 
 def compress_variational(
@@ -183,7 +162,6 @@ def compress_variational(
 def _als_run(
     target: Mps, at: list[np.ndarray], start: Mps, d_prime: int, cfg: OptimizationConfig
 ) -> tuple[Mps, CompressionReport]:
-    n = target.n
     ov0 = overlap(target, start)
     err0 = _error_from_overlap(ov0)
     if err0 <= 1e-12:
@@ -191,22 +169,25 @@ def _als_run(
             d_prime=d_prime,
             method=METHOD_VARIATIONAL,
             error=err0,
-            fidelity=min(float(abs(ov0)), 1.0 + 1e-9),
+            fidelity=min(float(abs(ov0)), FIDELITY_CLAMP),
         )
 
     ts = _absorb_boundaries(start)
-    _gauge_to_site1(ts)
+    # Absorbing a non-unit phi_f breaks the isometry of site n, and the first
+    # up half-sweep needs every site above the center isometric: move the
+    # center down to site 1 exactly, without changing the state.
+    for k in range(len(ts) - 1, 0, -1):
+        _center_down(ts, k)
     history: list[float] = []
     prev = err0
     converged = False
     sweeps = 0
     final_f = 0.0
     for sweep in range(cfg.max_sweeps):
-        final_f = _half_sweep(at, ts, up=True)
-        history.append(2.0 * (1.0 - min(final_f, 1.0 + 1e-9)))
-        final_f = _half_sweep(at, ts, up=False)
-        err = 2.0 * (1.0 - min(final_f, 1.0 + 1e-9))
-        history.append(err)
+        for up in (True, False):
+            final_f = _half_sweep(at, ts, up)
+            history.append(2.0 * (1.0 - min(final_f, FIDELITY_CLAMP)))
+        err = history[-1]
         sweeps = sweep + 1
         if abs(prev - err) <= cfg.tol * (1.0 + abs(err)):
             converged = True
@@ -216,7 +197,7 @@ def _als_run(
     # After a down half-sweep the gauge center sits at site 1; normalizing it
     # makes every site isometric, i.e. the chain is left-canonical.
     fnorm = np.linalg.norm(ts[0])
-    if fnorm < 1e-300:
+    if fnorm < ZERO_NORM:
         raise InvalidInputError("variational trial collapsed to the zero state")
     ts[0] = ts[0] / fnorm
     trial = Mps(
@@ -227,66 +208,41 @@ def _als_run(
         d_prime=d_prime,
         method=METHOD_VARIATIONAL,
         error=err,
-        fidelity=min(final_f, 1.0 + 1e-9),
+        fidelity=min(final_f, FIDELITY_CLAMP),
         sweeps=sweeps,
         converged=converged,
         sweep_history=history,
     )
 
 
-def _env_up(a_site, m_prev, x_site):
-    # M_k = sum_i A^i M_{k-1} X^i(dag)
-    return np.einsum("iab,bc,idc->ad", a_site, m_prev, x_site.conj())
-
-
-def _env_down(a_site, n_next, x_site):
-    # N_{k-1} = sum_i X^i(dag) N_k A^i
-    return np.einsum("iab,ac,icd->bd", x_site.conj(), n_next, a_site)
-
-
 def _half_sweep(at: list[np.ndarray], ts: list[np.ndarray], up: bool) -> float:
     """One half-sweep of local updates; returns the last overlap value.
 
     The active site is set to its environment E (the exact local optimum),
-    then split by QR to move the gauge center one site along the sweep
-    direction.  ||E|| equals the overlap with the target, so it can only
-    grow from one update to the next.
+    then split to move the gauge center one site along the sweep direction.
+    ||E|| equals the overlap with the target, so it can only grow from one
+    update to the next.
     """
     n = len(at)
-    fnorm = 0.0
-    if up:
-        envs = [None] * (n + 1)
-        envs[n] = np.eye(1, dtype=complex)
-        for j in range(n, 1, -1):
-            envs[j - 1] = _env_down(at[j - 1], envs[j], ts[j - 1])
-        m_prev = np.eye(1, dtype=complex)
-        for k in range(1, n + 1):
-            e = np.einsum("ab,ibc,cd->iad", envs[k], at[k - 1], m_prev)
-            fnorm = np.linalg.norm(e)
-            if k < n:
-                dk, dkm1 = e.shape[1], e.shape[2]
-                h = e.transpose(1, 0, 2).reshape(dk, 2 * dkm1)
-                q, r = np.linalg.qr(h.conj().T)
-                ts[k - 1] = q.conj().T.reshape(-1, 2, dkm1).transpose(1, 0, 2)
-                ts[k] = np.einsum("iab,bc->iac", ts[k], r.conj().T)
-                m_prev = _env_up(at[k - 1], m_prev, ts[k - 1])
-            else:
-                ts[k - 1] = e
-    else:
-        envs = [None] * (n + 1)
-        envs[0] = np.eye(1, dtype=complex)
-        for j in range(1, n):
-            envs[j] = _env_up(at[j - 1], envs[j - 1], ts[j - 1])
-        n_next = np.eye(1, dtype=complex)
-        for k in range(n, 0, -1):
-            e = np.einsum("ab,ibc,cd->iad", n_next, at[k - 1], envs[k - 1])
-            fnorm = np.linalg.norm(e)
-            if k > 1:
-                dk, dkm1 = e.shape[1], e.shape[2]
-                q, r = np.linalg.qr(e.reshape(2 * dk, dkm1))
-                ts[k - 1] = q.reshape(2, dk, -1)
-                ts[k - 2] = np.einsum("ab,ibc->iac", r, ts[k - 2])
-                n_next = _env_down(at[k - 1], n_next, ts[k - 1])
-            else:
-                ts[k - 1] = e
+    below = [np.eye(1, dtype=complex)] + [None] * (n - 1)
+    above = [None] * (n - 1) + [np.eye(1, dtype=complex)]
+
+    def fold_below(k):
+        below[k + 1] = _transfer_up(below[k], at[k], ts[k])
+
+    def fold_above(k):
+        above[k - 1] = _transfer_down(above[k], ts[k], at[k])
+
+    order = range(n) if up else range(n - 1, -1, -1)
+    center, fold, prefold = (
+        (_center_up, fold_below, fold_above) if up else (_center_down, fold_above, fold_below)
+    )
+    for k in reversed(order[1:]):
+        prefold(k)
+    for k in order:
+        ts[k] = np.einsum("ab,ibc,cd->iad", above[k].conj(), at[k], below[k])
+        fnorm = np.linalg.norm(ts[k])
+        if k != order[-1]:
+            center(ts, k)
+            fold(k)
     return float(fnorm)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernels.
 
-Every other module funnels its matrix work through the four operations here:
-singular value decomposition, Hermitian eigendecomposition, the Hermitian
-matrix exponential exp(-i * scale * h), and the closed-form unitary
+Every other module funnels its matrix work through the operations here:
+singular value and QR decompositions, Hermitian eigendecomposition, the
+Hermitian matrix exponential exp(-i * scale * h), and the closed-form unitary
 Procrustes update.  The heavy lifting is delegated to LAPACK via
 numpy.linalg; this module owns input validation, the error contract, and the
 conventions (descending singular values, ascending eigenvalues).
@@ -35,7 +35,7 @@ def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
 
@@ -52,6 +52,10 @@ class SvdResult:
     u: np.ndarray
     s: np.ndarray
     vdag: np.ndarray
+
+    def __iter__(self):
+        """Unpacks as (u, s, vdag), like numpy.linalg.svd."""
+        return iter((self.u, self.s, self.vdag))
 
     def rank(self, rtol: float = RANK_RTOL) -> int:
         """Number of singular values above rtol * s_max."""
@@ -73,6 +77,18 @@ def svd(a) -> SvdResult:
         # LAPACK does not expose its iteration count; forward its diagnostic.
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
     return SvdResult(u=u, s=s, vdag=vdag)
+
+
+def qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """Economy QR decomposition a = q @ r (q orthonormal columns, r upper triangular).
+
+    Errors as for svd: InvalidInputError for bad input, NumericalFailureError from LAPACK.
+    """
+    a = _as_matrix(a, "a")
+    try:
+        return np.linalg.qr(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"QR failed: {exc}") from exc
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +161,6 @@ def unitary_completion(isometry) -> np.ndarray:
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary (QR of a Ginibre matrix, phase-fixed)."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -28,6 +28,24 @@ the example is in left-canonical gauge: sum_i A^{i dag} A^{i} = identity.
 
 Left-canonical gauge means exactly that per-site isometry condition; with
 unit-norm boundaries it implies the state itself has norm 1.
+
+Contraction kernels
+-------------------
+The transfers, folds, boundary absorption and gauge shifts of ``compress``
+and ``seqgen`` live here, module-private.  Environments of <bra|ket> are
+indexed (ket bond, bra bond), and the bra enters conjugated:
+
+    _transfer_up(left, ket, bra)[a, d] = sum_i ket^i[a, b] left[b, c] conj(bra^i[d, c])
+    _transfer_down(tail, ket, bra)[..., b, c] = sum_i tail[..., p, q] ket^i[p, b] conj(bra^i[q, c])
+
+Up environments hold the sites toward phi_i, down environments those toward
+phi_f; leading axes of a down environment pass through (``seqgen`` keeps the
+open ancilla index there).  Compression stores its down environments
+conjugated, with the trial as ket: its sum_i X^i^dag N A^i equals
+conj(_transfer_down(conj(N), X, A)) term for term, so its results stay
+bit-identical, which the transposed form with the target as ket would not.
+``_center_up`` (LQ) and ``_center_down`` (QR) move the gauge center of a
+list of boundary-absorbed site tensors one site up or down.
 """
 
 from __future__ import annotations
@@ -37,8 +55,9 @@ import json
 import numpy as np
 
 from .errors import CapacityError, DegenerateStateError, InvalidInputError
+from .linalg import qr, svd
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
-from .tolerances import MAX_DENSE_QUBITS, RANK_RTOL
+from .tolerances import MAX_DENSE_QUBITS, RANK_RTOL, ZERO_NORM
 
 GAUGE_NONE = "none"
 GAUGE_LEFT = "left-canonical"
@@ -157,6 +176,47 @@ def _require_closed(m: Mps, op: str) -> None:
         raise InvalidInputError(f"{op} requires a closed MPS (phi_f is open)")
 
 
+def _transfer_up(left, ket, bra):
+    """One site of <bra|ket> folded onto an up environment (see module docstring)."""
+    return np.einsum("iab,bc,idc->ad", ket, left, bra.conj())
+
+
+def _transfer_down(tail, ket, bra):
+    """One site of <bra|ket> folded onto a down environment; leading axes ride along."""
+    return np.einsum("...pq,ipb,iqc->...bc", tail, ket, bra.conj())
+
+
+def _fold_up(left, kets, bras):
+    """_transfer_up over paired sites, in order from phi_i."""
+    for ket, bra in zip(kets, bras):
+        left = _transfer_up(left, ket, bra)
+    return left
+
+
+def _absorb_boundaries(m: Mps) -> list[np.ndarray]:
+    """Tensors of m with phi_i and conj(phi_f) contracted in: the state with unit boundaries."""
+    ts = [t.copy() for t in m.tensors]
+    ts[0] = np.einsum("iab,b->ia", ts[0], m.phi_i)[:, :, None]
+    ts[-1] = np.einsum("a,iab->ib", m.phi_f.conj(), ts[-1])[:, None, :]
+    return ts
+
+
+def _center_up(ts: list[np.ndarray], k: int) -> None:
+    """Move the gauge center from site k to k + 1 (0-based) by an LQ split of site k."""
+    t = ts[k]
+    q, r = qr(t.transpose(1, 0, 2).reshape(t.shape[1], 2 * t.shape[2]).conj().T)
+    ts[k] = q.conj().T.reshape(-1, 2, t.shape[2]).transpose(1, 0, 2)
+    ts[k + 1] = np.einsum("iab,bc->iac", ts[k + 1], r.conj().T)
+
+
+def _center_down(ts: list[np.ndarray], k: int) -> None:
+    """Move the gauge center from site k to k - 1 (0-based) by a QR split of site k."""
+    t = ts[k]
+    q, r = qr(t.reshape(2 * t.shape[1], t.shape[2]))
+    ts[k] = q.reshape(2, t.shape[1], -1)
+    ts[k - 1] = np.einsum("ab,ibc->iac", r, ts[k - 1])
+
+
 def from_state_vector(psi, max_bond: int | None = None) -> Mps:
     """Exact left-canonical MPS of a dense state vector.
 
@@ -186,7 +246,7 @@ def from_state_vector(psi, max_bond: int | None = None) -> Mps:
     for _ in range(n, 0, -1):
         rows, d_out = work.shape
         mat = work.reshape(2, rows // 2, d_out).transpose(1, 0, 2).reshape(rows // 2, 2 * d_out)
-        u, s, vdag = np.linalg.svd(mat, full_matrices=False)
+        u, s, vdag = svd(mat)
         r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
         r = max(r, 1)
         if max_bond is not None:
@@ -219,9 +279,7 @@ def overlap(a: Mps, b: Mps) -> complex:
     _require_closed(b, "overlap")
     if a.n != b.n:
         raise InvalidInputError(f"site counts differ: {a.n} vs {b.n}")
-    trans = np.outer(b.phi_i, a.phi_i.conj())
-    for ta, tb in zip(a.tensors, b.tensors):
-        trans = np.einsum("iac,cd,ibd->ab", tb, trans, ta.conj())
+    trans = _fold_up(np.outer(b.phi_i, a.phi_i.conj()), b.tensors, a.tensors)
     return complex(np.einsum("a,ab,b->", b.phi_f.conj(), trans, a.phi_f))
 
 
@@ -233,7 +291,7 @@ def norm(m: Mps) -> float:
 def normalize(m: Mps) -> Mps:
     """Rescale phi_i so the state has norm 1; gauge is untouched."""
     nm = norm(m)
-    if nm < 1e-300:
+    if nm < ZERO_NORM:
         raise DegenerateStateError("cannot normalize a (numerically) zero state")
     return Mps(m.tensors, m.phi_i / nm, m.phi_f, m.gauge_tag)
 
@@ -254,7 +312,7 @@ def canonicalize_left(m: Mps) -> Mps:
         w = np.einsum("ab,ibc->iac", carry, t)
         rows = w.shape[0] * w.shape[1]
         stacked = w.reshape(rows, w.shape[2])
-        u, s, vdag = np.linalg.svd(stacked, full_matrices=False)
+        u, s, vdag = svd(stacked)
         if s.size == 0 or s[0] == 0.0:
             r = 1
         else:
@@ -283,29 +341,22 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
     if m.gauge_tag != GAUGE_LEFT:
         raise InvalidInputError("truncate_per_matrix requires a left-canonical MPS")
     _require_closed(m, "truncate_per_matrix")
-    ts = [t.copy() for t in m.tensors]
-    ts[0] = np.einsum("iab,b->ia", ts[0], m.phi_i)[:, :, None]
-    ts[-1] = np.einsum("a,iab->ib", m.phi_f.conj(), ts[-1])[:, None, :]
+    ts = _absorb_boundaries(m)
     # Upward LQ pass: rows become orthonormal, the norm collects at the top.
     for k in range(len(ts) - 1):
-        t = ts[k]
-        mat = t.transpose(1, 0, 2).reshape(t.shape[1], 2 * t.shape[2])
-        q, r = np.linalg.qr(mat.conj().T)
-        rank = q.shape[1]
-        ts[k] = q.conj().T.reshape(rank, 2, t.shape[2]).transpose(1, 0, 2)
-        ts[k + 1] = np.einsum("iab,bc->iac", ts[k + 1], r.conj().T)
+        _center_up(ts, k)
     # Downward pass: SVD each stacked matrix, keep the largest singular
     # values, push the remainder into the site below.
     for k in range(len(ts) - 1, 0, -1):
         t = ts[k]
         stacked = t.reshape(2 * t.shape[1], t.shape[2])
-        u, s, vdag = np.linalg.svd(stacked, full_matrices=False)
+        u, s, vdag = svd(stacked)
         r = min(keep, int(s.size))
         ts[k] = u[:, :r].reshape(2, t.shape[1], r)
         ts[k - 1] = np.einsum("ab,ibc->iac", s[:r, None] * vdag[:r], ts[k - 1])
     t = ts[0]
     stacked = t.reshape(2 * t.shape[1], t.shape[2])
-    u, s, vdag = np.linalg.svd(stacked, full_matrices=False)
+    u, s, vdag = svd(stacked)
     # Keeping the top singular direction normalizes; vdag preserves phase.
     ts[0] = (u[:, :1] * vdag[0, 0]).reshape(2, t.shape[1], 1)
     return Mps(ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex), GAUGE_LEFT)

@@ -44,17 +44,19 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .config import OptimizationConfig
 from .errors import InvalidInputError
-from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary
-from .mps import GAUGE_LEFT, Mps
+from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, svd
+from .mps import GAUGE_LEFT, Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
+    FIDELITY_CLAMP,
+    FIDELITY_SLACK,
     GATE_UNITARITY_ATOL,
     LOCAL_UNITARITY_ATOL,
     MONOTONE_SLACK,
@@ -62,6 +64,7 @@ from .tolerances import (
     SEQGEN_RESTARTS,
     SEQGEN_TOL,
     STATE_NORM_ATOL,
+    ZERO_NORM,
 )
 
 # Common eigenbasis (Bell basis) of the three restricted generators.  Columns:
@@ -117,6 +120,14 @@ def ancilla_operator_basis(d: int) -> list[np.ndarray]:
         basis.append(np.sqrt(2.0 / (l * (l + 1))) * diag)
     # Reorder so d = 2 gives (I, s1, s2, s3).
     return basis
+
+
+@functools.cache
+def _full_pauli_terms(d: int) -> np.ndarray:
+    """Read-only (d^2, 4, 2d, 2d) stack of the full_pauli terms B_j x sigma_k."""
+    terms = np.array([[np.kron(b, sig) for sig in SIGMA] for b in ancilla_operator_basis(d)])
+    terms.flags.writeable = False
+    return terms
 
 
 def pauli_coefficients(h) -> np.ndarray:
@@ -192,13 +203,11 @@ class GeneratorModel:
         p = self._params(params)
         if self.kind in _BELL_KINDS:
             return (_BELL * self._bell_eigenvalues(p)).astype(complex) @ _BELL.T
-        basis = ancilla_operator_basis(self.d_ancilla)
-        h = np.zeros((2 * self.d_ancilla, 2 * self.d_ancilla), dtype=complex)
-        table = p.reshape(self.d_ancilla**2, 4)
-        for j, b in enumerate(basis):
-            for k in range(4):
-                if table[j, k] != 0.0:
-                    h += table[j, k] * np.kron(b, SIGMA[k])
+        terms = _full_pauli_terms(self.d_ancilla)
+        h = np.zeros(terms.shape[2:], dtype=complex)
+        table = p.reshape(terms.shape[:2])
+        for j, k in zip(*np.nonzero(table)):
+            h += table[j, k] * terms[j, k]
         return h
 
     def entangler(self, params) -> np.ndarray:
@@ -373,19 +382,9 @@ class Protocol:
             _check_unit(inits[k], f"qubit_inits[{k}]", 2)
         object.__setattr__(self, "qubit_inits", inits)
         object.__setattr__(self, "phi_i", _check_unit(self.phi_i, "phi_i", d))
-        object.__setattr__(
-            self, "local_ancilla", _check_unitary_stack(self.local_ancilla, "local_ancilla", self.n, d)
-        )
-        object.__setattr__(
-            self,
-            "local_qubit_pre",
-            _check_unitary_stack(self.local_qubit_pre, "local_qubit_pre", self.n, 2),
-        )
-        object.__setattr__(
-            self,
-            "local_qubit_post",
-            _check_unitary_stack(self.local_qubit_post, "local_qubit_post", self.n, 2),
-        )
+        for name, dim in (("local_ancilla", d), ("local_qubit_pre", 2), ("local_qubit_post", 2)):
+            stack = _check_unitary_stack(getattr(self, name), name, self.n, dim)
+            object.__setattr__(self, name, stack)
 
     @property
     def _locals(self) -> dict:
@@ -405,6 +404,10 @@ class Protocol:
         return _step_isometry(self.step_unitary(k), self.qubit_inits[k - 1], self.model.d_ancilla)
 
     def to_json(self) -> str:
+        def opt(key):
+            a = getattr(self, key)
+            return None if a is None else complex_to_pairs(a)
+
         doc = {
             "schema": SCHEMA,
             "n": self.n,
@@ -412,16 +415,8 @@ class Protocol:
             "couplings": None if self.couplings is None else self.couplings.tolist(),
             "qubit_inits": complex_to_pairs(self.qubit_inits),
             "phi_i": complex_to_pairs(self.phi_i),
-            "local_ancilla": None
-            if self.local_ancilla is None
-            else complex_to_pairs(self.local_ancilla),
-            "local_qubit_pre": None
-            if self.local_qubit_pre is None
-            else complex_to_pairs(self.local_qubit_pre),
-            "local_qubit_post": None
-            if self.local_qubit_post is None
-            else complex_to_pairs(self.local_qubit_post),
-            "fixed_gate": None if self.fixed_gate is None else complex_to_pairs(self.fixed_gate),
+            **{key: opt(key) for key in ("local_ancilla", "local_qubit_pre", "local_qubit_post")},
+            "fixed_gate": opt("fixed_gate"),
         }
         return json.dumps(doc)
 
@@ -513,7 +508,7 @@ class FidelityReport:
     restarts_used: int = 0
 
     def __post_init__(self):
-        if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
+        if not -FIDELITY_SLACK <= self.fidelity <= FIDELITY_CLAMP:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
         if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > 1e-12:
             raise InvalidInputError("cost is not 2 (1 - fidelity)")
@@ -545,36 +540,27 @@ def _target_arrays(target: Mps):
     return list(target.tensors), target.phi_i, target.phi_f
 
 
-def _transfer_up(left, v_site, a_site):
-    # left[b, c] -> sum_i V^i @ left @ A^i(dag):  [a, d]
-    return np.einsum("iab,bc,idc->ad", v_site, left, a_site.conj())
-
-
-def _transfer_down(tail, v_site, a_site):
-    # tail[g, p, q] composed with the site transfer: [g, b, c]
-    return np.einsum("gpq,ipb,iqc->gbc", tail, v_site, a_site.conj())
-
-
 def fidelity_vector(p: Protocol, target: Mps) -> np.ndarray:
     """Leftover ancilla vector v with v[a] = <target| (joint state, ancilla a)>."""
     if target.n != p.n:
         raise InvalidInputError(f"target has {target.n} sites, protocol has {p.n}")
     a_tensors, a_phi_i, a_phi_f = _target_arrays(target)
-    left = np.outer(p.phi_i, a_phi_i.conj())
-    for k in range(1, p.n + 1):
-        left = _transfer_up(left, p.step_isometry(k), a_tensors[k - 1])
-    return left @ a_phi_f
+    sites = [p.step_isometry(k) for k in range(1, p.n + 1)]
+    return _fold_up(np.outer(p.phi_i, a_phi_i.conj()), sites, a_tensors) @ a_phi_f
 
 
 def fidelity(p: Protocol, target: Mps) -> FidelityReport:
     """Fidelity of a protocol against a closed, normalized target MPS."""
-    v = fidelity_vector(p, target)
-    f = float(np.linalg.norm(v))
-    f = min(f, 1.0 + 1e-9)
-    phi_f = v / f if f > 1e-300 else _basis_vec(p.model.d_ancilla)
-    return FidelityReport(
-        fidelity=f, cost=2.0 * (1.0 - f), phi_f_optimal=phi_f, history=[2.0 * (1.0 - f)]
-    )
+    return _report(fidelity_vector(p, target), p.model.d_ancilla)
+
+
+def _report(v: np.ndarray, d: int, history=None, **fields) -> FidelityReport:
+    """Report of the leftover ancilla vector v; history defaults to its one cost."""
+    f = min(float(np.linalg.norm(v)), FIDELITY_CLAMP)
+    phi_f = v / f if f > ZERO_NORM else _basis_vec(d)
+    cost = 2.0 * (1.0 - f)
+    history = [cost] if history is None else history
+    return FidelityReport(fidelity=f, cost=cost, phi_f_optimal=phi_f, history=history, **fields)
 
 
 def _basis_vec(d: int) -> np.ndarray:
@@ -608,10 +594,7 @@ class _SweepState:
         return tm
 
     def current_v(self) -> np.ndarray:
-        left = self.left_seed()
-        for k in range(1, self.n + 1):
-            left = _transfer_up(left, self.v_sites[k - 1], self.at[k - 1])
-        return left @ self.at_phi_f
+        return _fold_up(self.left_seed(), self.v_sites, self.at) @ self.at_phi_f
 
     def to_protocol(self) -> Protocol:
         return Protocol(
@@ -701,46 +684,39 @@ def _coupling_argmax(f2, period: float) -> float:
 
 
 def _sweep_once(st: _SweepState, up: bool) -> float:
-    """One half-sweep (all steps, ascending or descending); returns last cost."""
-    n = st.n
-    if up:
-        tails = [None] * (n + 1)
-        tails[n] = st.tail_seed()
-        for k in range(n - 1, 0, -1):
-            tails[k] = _transfer_down(tails[k + 1], st.v_sites[k], st.at[k])
-        left = st.left_seed()
-        order = range(1, n + 1)
-    else:
-        lefts = [st.left_seed()]
-        for k in range(1, n):
-            lefts.append(_transfer_up(lefts[-1], st.v_sites[k - 1], st.at[k - 1]))
-        tail = st.tail_seed()
-        order = range(n, 0, -1)
+    """One half-sweep (all steps, ascending or descending); returns last cost.
 
-    cost = st.history[-1] if st.history else None
+    lefts[k] folds steps [0, k) and tails[k] steps (k, n): the far side
+    first, the near side after each step's update.
+    """
+    n = st.n
+    lefts = [st.left_seed()] + [None] * (n - 1)
+    tails = [None] * (n - 1) + [st.tail_seed()]
+
+    def fold_left(k):
+        lefts[k + 1] = _transfer_up(lefts[k], st.v_sites[k], st.at[k])
+
+    def fold_tail(k):
+        tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
+
+    order = range(n) if up else range(n - 1, -1, -1)
+    fold, prefold = (fold_left, fold_tail) if up else (fold_tail, fold_left)
+    for k in reversed(order[1:]):
+        prefold(k)
     for k in order:
-        if up:
-            l_env = left
-            t_env = tails[k]
-        else:
-            l_env = lefts[k - 1]
-            t_env = tail
-        cost = _update_step(st, k, l_env, t_env)
-        if up:
-            left = _transfer_up(l_env, st.v_sites[k - 1], st.at[k - 1])
-        else:
-            tail = _transfer_down(t_env, st.v_sites[k - 1], st.at[k - 1])
+        cost = _update_step(st, k, lefts[k], tails[k])
+        if k != order[-1]:
+            fold(k)
     return cost
 
 
-def _update_step(st: _SweepState, k: int, l_env, t_env) -> float:
-    """Optimize the enabled factors of step k, in chain order, against fixed environments.
+def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
+    """Optimize the enabled factors of step i (0-based) in chain order against fixed environments.
 
     Each update is a closed-form ascent step (a Procrustes solution for a
     local, an accepted-only line search for the couplings; a fixed gate is
     left alone), so the cost history stays non-increasing.
     """
-    i = k - 1
     d = st.d
     s = st.inits[i]
     # bt[i] = l_env @ A^i(dag): the target side folded into the environment.
@@ -755,7 +731,7 @@ def _update_step(st: _SweepState, k: int, l_env, t_env) -> float:
     def env_for_total(v, fnorm):
         # Environment of the full step unitary with phi_f frozen at v/||v||:
         # Re tr(U_total @ env) is the frozen objective.
-        phi = v / fnorm if fnorm > 1e-300 else _basis_vec(d)
+        phi = v / fnorm if fnorm > ZERO_NORM else _basis_vec(d)
         u_fold = np.einsum("g,gbc->bc", phi.conj(), t_env)
         w = np.einsum("ipc,bc->ipb", bt, u_fold)  # w[i, b', b] = (bt_i @ u^T)
         return np.einsum("j,ipb->pjbi", s, w).reshape(2 * d, 2 * d)
@@ -776,7 +752,7 @@ def _update_step(st: _SweepState, k: int, l_env, t_env) -> float:
         u = _product(chain)
         v = v_of_unitary(u)
         fnorm = np.linalg.norm(v)
-        st.history.append(2.0 * (1.0 - min(fnorm, 1.0 + 1e-9)))
+        st.history.append(2.0 * (1.0 - min(fnorm, FIDELITY_CLAMP)))
     st.v_sites[i] = _step_isometry(u, s, d)
     return st.history[-1]
 
@@ -815,21 +791,16 @@ def _search_couplings(model: GeneratorModel, params: np.ndarray, chain: list, j:
 
 def _update_phi_i(st: _SweepState) -> None:
     """Closed-form update of the initial ancilla vector (top singular vector)."""
-    d = st.d
-    cols = []
-    for b in range(d):
-        left = np.outer(np.eye(d, dtype=complex)[b], st.at_phi_i.conj())
-        for k in range(1, st.n + 1):
-            left = _transfer_up(left, st.v_sites[k - 1], st.at[k - 1])
-        cols.append(left @ st.at_phi_f)
-    z = np.stack(cols, axis=1)  # v = z @ phi_i
-    u, sing, vdag = np.linalg.svd(z)
+    # Column b of z is the leftover vector of phi_i = e_b, so v = z @ phi_i.
+    seeds = [np.outer(e, st.at_phi_i.conj()) for e in np.eye(st.d, dtype=complex)]
+    z = np.stack([_fold_up(s, st.v_sites, st.at) @ st.at_phi_f for s in seeds], axis=1)
+    _, sing, vdag = svd(z)
     phi = vdag[0].conj()
     # Fix the overall phase for determinism (largest component real positive).
     j = int(np.argmax(np.abs(phi)))
     phi = phi * (abs(phi[j]) / phi[j])
     st.phi_i = phi
-    st.history.append(2.0 * (1.0 - min(float(sing[0]), 1.0 + 1e-9)))
+    st.history.append(2.0 * (1.0 - min(float(sing[0]), FIDELITY_CLAMP)))
 
 
 def _unitary_power(delta: np.ndarray, beta: float) -> np.ndarray:
@@ -883,7 +854,7 @@ def _extrapolated(st: _SweepState, prev, cur, beta: float):
 
 def _current_cost(st: _SweepState) -> float:
     v = st.current_v()
-    return 2.0 * (1.0 - min(float(np.linalg.norm(v)), 1.0 + 1e-9))
+    return 2.0 * (1.0 - min(float(np.linalg.norm(v)), FIDELITY_CLAMP))
 
 
 _EXTRAP_BETA_MAX = 256.0
@@ -923,8 +894,7 @@ def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
 
 def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
     """Alternate up/down half-sweeps until the cost stalls."""
-    v0 = st.current_v()
-    st.history.append(2.0 * (1.0 - min(float(np.linalg.norm(v0)), 1.0 + 1e-9)))
+    st.history.append(_current_cost(st))
     prev = st.history[-1]
     sweeps = 0
     converged = False
@@ -1010,13 +980,9 @@ def optimize(
             break
     cost, st, sweeps, converged = best
     p_opt = st.to_protocol()
-    v = fidelity_vector(p_opt, target)
-    f = min(float(np.linalg.norm(v)), 1.0 + 1e-9)
-    phi_f = v / f if f > 1e-300 else _basis_vec(p_opt.model.d_ancilla)
-    report = FidelityReport(
-        fidelity=f,
-        cost=2.0 * (1.0 - f),
-        phi_f_optimal=phi_f,
+    report = _report(
+        fidelity_vector(p_opt, target),
+        p_opt.model.d_ancilla,
         history=st.history,
         sweeps=sweeps,
         converged=converged,
@@ -1036,17 +1002,7 @@ def optimize_full_local(
     """
     if p0.model.kind != "xy" or p0.model.d_ancilla != 2:
         raise InvalidInputError("optimize_full_local requires the xy model with d_ancilla = 2")
-    n = p0.n
-    eye_stack = lambda dim: np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy()
-    p_full = Protocol(
-        n=n,
-        model=p0.model,
-        couplings=p0.couplings,
-        qubit_inits=p0.qubit_inits,
-        phi_i=p0.phi_i,
-        local_ancilla=p0.local_ancilla if p0.local_ancilla is not None else eye_stack(2),
-        local_qubit_pre=p0.local_qubit_pre if p0.local_qubit_pre is not None else eye_stack(2),
-        local_qubit_post=p0.local_qubit_post if p0.local_qubit_post is not None else eye_stack(2),
-        fixed_gate=None,
-    )
-    return optimize(p_full, target, cfg)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (p0.n, 2, 2))
+    fields = ("local_ancilla", "local_qubit_pre", "local_qubit_post")
+    missing = {name: eye.copy() for name in fields if getattr(p0, name) is None}
+    return optimize(replace(p0, fixed_gate=None, **missing), target, cfg)

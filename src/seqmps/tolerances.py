@@ -22,6 +22,14 @@ NORM_ATOL = 1e-10             # norm of a normalized MPS is 1 within this
 # Monotone sweep assertions (exact local minimization plus roundoff).
 MONOTONE_SLACK = 1e-12
 
+# Fidelities are clamped to FIDELITY_CLAMP against roundoff; reports accept
+# values in [-FIDELITY_SLACK, FIDELITY_CLAMP].
+FIDELITY_SLACK = 1e-9
+FIDELITY_CLAMP = 1.0 + FIDELITY_SLACK
+
+# A norm below this is treated as zero (normalization, phi_f fallback).
+ZERO_NORM = 1e-300
+
 # Variational compression defaults.
 COMPRESS_TOL = 1e-10          # relative error-change convergence threshold
 COMPRESS_MAX_SWEEPS = 200

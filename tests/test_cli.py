@@ -156,6 +156,19 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     assert err["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("kernel", ["qr", "svd"])
+def test_lapack_failure_exits_2(kernel, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"injected {kernel} failure")
+
+    monkeypatch.setattr(np.linalg, kernel, fail)
+    code = main(["--command", "compress", "--target", "xxz", "--n", "6", "--dprime", "2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error"] == "NumericalFailureError"
+
+
 def test_suite_count_outside_the_seed_space_exits_2(capsys):
     # Seeds pack (n, index) as n * 1000 + index, so index 1000 would repeat
     # the next n's first target, and an empty suite has no summary; such

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqmps
 from seqmps import GAUGE_LEFT, GAUGE_NONE, CapacityError, InvalidInputError, Mps
+from seqmps.mps import _fold_up, _transfer_down
 
 from oracles import dense_from_mps, random_state, schmidt_values
 
@@ -252,3 +255,74 @@ def test_truncation_error_decreases_with_keep():
         errs.append(np.linalg.norm(dense - seqmps.to_state_vector(t)) ** 2)
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-12
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def canonical_mps_with_bonds(dims, rng):
+    """Normalized left-canonical closed MPS from random tensors with bonds dims[0..n]."""
+    tensors = [gaussian(rng, (2, dims[k], dims[k - 1])) for k in range(1, len(dims))]
+    raw = Mps(tensors, gaussian(rng, dims[0]), gaussian(rng, dims[-1]))
+    return seqmps.normalize(seqmps.canonicalize_left(raw))
+
+
+def cut_contractions(left, tail, kets, bras):
+    """<bra|ket> split at every cut k: up fold over [0, k) against down fold over [k, n)."""
+    n = len(kets)
+    out = []
+    for k in range(n + 1):
+        below = _fold_up(left, kets[:k], bras[:k])
+        above = tail
+        for j in range(n - 1, k - 1, -1):
+            above = _transfer_down(above, kets[j], bras[j])
+        out.append(np.einsum("...bc,bc->...", above, below))
+    return out
+
+
+bond_profiles = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1)
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(bra_dims=bond_profiles, ket_bond=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_transfer_kernels_agree_with_overlap_at_every_cut(bra_dims, ket_bond, seed):
+    rng = np.random.default_rng(seed)
+    n = len(bra_dims) - 1
+    a = canonical_mps_with_bonds(bra_dims, rng)
+    b = canonical_mps_with_bonds([ket_bond] * (n + 1), rng)
+    ref = seqmps.overlap(a, b)
+    assert abs(ref - np.vdot(seqmps.to_state_vector(a), seqmps.to_state_vector(b))) < 1e-12
+    left = np.outer(b.phi_i, a.phi_i.conj())
+    tail = np.outer(b.phi_f.conj(), a.phi_f)
+    for value in cut_contractions(left, tail, b.tensors, a.tensors):
+        assert abs(value - ref) < 1e-12
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(bra_dims=bond_profiles, d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_transfer_kernels_agree_with_fidelity_vector_for_an_open_ket(bra_dims, d, seed):
+    # The open final ancilla index of the joint state rides along as the
+    # leading axis of the down environment.
+    rng = np.random.default_rng(seed)
+    n = len(bra_dims) - 1
+    a = canonical_mps_with_bonds(bra_dims, rng)
+    model = seqmps.GeneratorModel("full_pauli", d)
+    inits = gaussian(rng, (n, 2))
+    phi_i = gaussian(rng, d)
+    p = seqmps.Protocol(
+        n=n,
+        model=model,
+        couplings=rng.uniform(-1.0, 1.0, (n, model.param_count)),
+        qubit_inits=inits / np.linalg.norm(inits, axis=1, keepdims=True),
+        phi_i=phi_i / np.linalg.norm(phi_i),
+        local_ancilla=np.stack([seqmps.haar_unitary(d, rng) for _ in range(n)]),
+    )
+    ref = seqmps.fidelity_vector(p, a)
+    ket = seqmps.simulate(p)
+    left = np.outer(ket.phi_i, a.phi_i.conj())
+    tail = np.einsum("gp,q->gpq", np.eye(d), a.phi_f)
+    for value in cut_contractions(left, tail, ket.tensors, a.tensors):
+        assert np.abs(value - ref).max() < 1e-12
