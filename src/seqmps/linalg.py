@@ -2,12 +2,14 @@
 
 Every other module funnels its matrix work through the operations here:
 singular value and QR decompositions, Hermitian eigendecomposition, the
-Hermitian matrix exponential exp(-i * scale * h), and the closed-form unitary
-Procrustes update.  The heavy lifting is delegated to LAPACK via
-numpy.linalg; this module owns input validation, the error contract, and the
+Hermitian matrix exponential exp(-i * scale * h), the complex Schur form, and
+the closed-form unitary Procrustes update.  The heavy lifting is delegated to
+LAPACK via numpy.linalg and scipy.linalg; this module owns input validation,
+the error contract (a LAPACK failure becomes NumericalFailureError), and the
 conventions (descending singular values, ascending eigenvalues).
 
-All functions treat their inputs as read-only and return fresh arrays.
+All functions return fresh arrays and treat their inputs as read-only, except
+eigh_lowest, which overwrites its input to save a copy of a large matrix.
 """
 
 from __future__ import annotations
@@ -109,6 +111,42 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigh did not converge: {exc}") from exc
     return w, v
+
+
+def eigh_lowest(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count lowest eigenpairs of a real symmetric matrix, ascending.
+
+    Only the requested pairs are computed, and h is overwritten: this is the
+    route for large dense Hamiltonians, so it makes no complex copy and no
+    Hermiticity check (callers build h symmetric).  A LAPACK failure raises
+    NumericalFailureError.
+    """
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise InvalidInputError(f"h must be square, got shape {h.shape}")
+    # Imported on first use: scipy.linalg adds about 25 MB and 0.3 s or more
+    # to the package import, and only the XXZ targets and the geodesic
+    # extrapolation of seqgen need it.
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.eigh(h, subset_by_index=(0, count - 1), overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigh did not converge: {exc}") from exc
+
+
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form a = z @ t @ z^dag, returned as (t, z).
+
+    t is upper triangular with the eigenvalues on its diagonal, z unitary.
+    Errors as for svd: InvalidInputError for bad input, NumericalFailureError from LAPACK.
+    """
+    a = _as_matrix(a, "a")
+    import scipy.linalg  # on first use, see eigh_lowest
+
+    try:
+        return scipy.linalg.schur(a, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Schur decomposition failed: {exc}") from exc
 
 
 def expm_hermitian(h, scale: float = 1.0) -> np.ndarray:

@@ -40,7 +40,17 @@ indexed (ket bond, bra bond), and the bra enters conjugated:
 
 Up environments hold the sites toward phi_i, down environments those toward
 phi_f; leading axes of a down environment pass through (``seqgen`` keeps the
-open ancilla index there).  Compression stores its down environments
+open ancilla index there).  Both are contracted pairwise, as chains of
+matmuls over the physical index i:
+
+    _transfer_up:   (ket^i @ left) @ bra^i^dag, summed over i
+    _transfer_down: (tail^T @ ket^i)^T @ conj(bra^i), summed over i
+
+With ket bonds D and bra bonds D' each step costs O(D^2 D' + D D'^2), so a
+fold over n sites is O(n D^3) at D' = D, where the three-operand sum written
+above, done in one loop over all indices, would be O(n D^4).  Every other
+site contraction here (gauge shifts, boundary absorption, dense conversion)
+is one matmul as well.  Compression stores its down environments
 conjugated, with the trial as ket: its sum_i X^i^dag N A^i equals
 conj(_transfer_down(conj(N), X, A)) term for term, so its results stay
 bit-identical, which the transposed form with the target as ket would not.
@@ -178,12 +188,13 @@ def _require_closed(m: Mps, op: str) -> None:
 
 def _transfer_up(left, ket, bra):
     """One site of <bra|ket> folded onto an up environment (see module docstring)."""
-    return np.einsum("iab,bc,idc->ad", ket, left, bra.conj())
+    return ((ket @ left) @ bra.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def _transfer_down(tail, ket, bra):
     """One site of <bra|ket> folded onto a down environment; leading axes ride along."""
-    return np.einsum("...pq,ipb,iqc->...bc", tail, ket, bra.conj())
+    tmp = tail.swapaxes(-1, -2)[..., None, :, :] @ ket
+    return (tmp.swapaxes(-1, -2) @ bra.conj()).sum(axis=-3)
 
 
 def _fold_up(left, kets, bras):
@@ -196,8 +207,8 @@ def _fold_up(left, kets, bras):
 def _absorb_boundaries(m: Mps) -> list[np.ndarray]:
     """Tensors of m with phi_i and conj(phi_f) contracted in: the state with unit boundaries."""
     ts = [t.copy() for t in m.tensors]
-    ts[0] = np.einsum("iab,b->ia", ts[0], m.phi_i)[:, :, None]
-    ts[-1] = np.einsum("a,iab->ib", m.phi_f.conj(), ts[-1])[:, None, :]
+    ts[0] = (ts[0] @ m.phi_i)[:, :, None]
+    ts[-1] = (m.phi_f.conj() @ ts[-1])[:, None, :]
     return ts
 
 
@@ -206,7 +217,7 @@ def _center_up(ts: list[np.ndarray], k: int) -> None:
     t = ts[k]
     q, r = qr(t.transpose(1, 0, 2).reshape(t.shape[1], 2 * t.shape[2]).conj().T)
     ts[k] = q.conj().T.reshape(-1, 2, t.shape[2]).transpose(1, 0, 2)
-    ts[k + 1] = np.einsum("iab,bc->iac", ts[k + 1], r.conj().T)
+    ts[k + 1] = ts[k + 1] @ r.conj().T
 
 
 def _center_down(ts: list[np.ndarray], k: int) -> None:
@@ -214,7 +225,7 @@ def _center_down(ts: list[np.ndarray], k: int) -> None:
     t = ts[k]
     q, r = qr(t.reshape(2 * t.shape[1], t.shape[2]))
     ts[k] = q.reshape(2, t.shape[1], -1)
-    ts[k - 1] = np.einsum("ab,ibc->iac", r, ts[k - 1])
+    ts[k - 1] = r @ ts[k - 1]
 
 
 def from_state_vector(psi, max_bond: int | None = None) -> Mps:
@@ -269,7 +280,7 @@ def to_state_vector(m: Mps) -> np.ndarray:
     part = m.phi_i.reshape(1, -1)
     for t in m.tensors:
         # part[(i_{k-1}..i_1), b] -> sum_b t[i, a, b] part[p, b]
-        part = np.einsum("iab,pb->ipa", t, part).reshape(-1, t.shape[1])
+        part = (part @ t.swapaxes(1, 2)).reshape(-1, t.shape[1])
     return part @ m.phi_f.conj()
 
 
@@ -280,7 +291,7 @@ def overlap(a: Mps, b: Mps) -> complex:
     if a.n != b.n:
         raise InvalidInputError(f"site counts differ: {a.n} vs {b.n}")
     trans = _fold_up(np.outer(b.phi_i, a.phi_i.conj()), b.tensors, a.tensors)
-    return complex(np.einsum("a,ab,b->", b.phi_f.conj(), trans, a.phi_f))
+    return complex(b.phi_f.conj() @ trans @ a.phi_f)
 
 
 def norm(m: Mps) -> float:
@@ -309,7 +320,7 @@ def canonicalize_left(m: Mps) -> Mps:
     carry = np.eye(m.tensors[-1].shape[1], dtype=complex)
     new_tensors: list[np.ndarray] = []
     for t in reversed(m.tensors):
-        w = np.einsum("ab,ibc->iac", carry, t)
+        w = carry @ t
         rows = w.shape[0] * w.shape[1]
         stacked = w.reshape(rows, w.shape[2])
         u, s, vdag = svd(stacked)
@@ -353,7 +364,7 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
         u, s, vdag = svd(stacked)
         r = min(keep, int(s.size))
         ts[k] = u[:, :r].reshape(2, t.shape[1], r)
-        ts[k - 1] = np.einsum("ab,ibc->iac", s[:r, None] * vdag[:r], ts[k - 1])
+        ts[k - 1] = (s[:r, None] * vdag[:r]) @ ts[k - 1]
     t = ts[0]
     stacked = t.reshape(2 * t.shape[1], t.shape[2])
     u, s, vdag = svd(stacked)

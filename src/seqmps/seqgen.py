@@ -47,11 +47,10 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .config import OptimizationConfig
 from .errors import InvalidInputError
-from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, svd
+from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, schur, svd
 from .mps import GAUGE_LEFT, Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
@@ -805,7 +804,7 @@ def _update_phi_i(st: _SweepState) -> None:
 
 def _unitary_power(delta: np.ndarray, beta: float) -> np.ndarray:
     """delta**beta for unitary delta (principal branch), exactly unitary."""
-    tmat, z = scipy.linalg.schur(delta, output="complex")
+    tmat, z = schur(delta)
     phases = np.exp(1j * beta * np.angle(np.diagonal(tmat)))
     return (z * phases) @ z.conj().T
 

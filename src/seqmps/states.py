@@ -18,9 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, InvalidInputError
+from .linalg import eigh_lowest
 from .mps import Mps, canonicalize_left, from_state_vector, normalize
 from .tolerances import DEGENERACY_GAP, MAX_XXZ_QUBITS
 
@@ -170,7 +170,7 @@ def xxz_ground_vector(n: int, delta: float) -> np.ndarray:
     ground state is (numerically) degenerate.
     """
     h = xxz_dense_hamiltonian(n, delta)
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, 1), overwrite_a=True)
+    vals, vecs = eigh_lowest(h, 2)
     gap = vals[1] - vals[0]
     if gap < DEGENERACY_GAP * max(1.0, abs(vals[0])):
         warnings.warn(

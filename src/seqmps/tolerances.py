@@ -33,6 +33,8 @@ ZERO_NORM = 1e-300
 # Variational compression defaults.
 COMPRESS_TOL = 1e-10          # relative error-change convergence threshold
 COMPRESS_MAX_SWEEPS = 200
+COMPRESS_TARGET_NORM_ATOL = 1e-8  # | ||target|| - 1 | accepted for a compression target
+COMPRESS_EXACT_ERROR = 1e-12  # a start this close to the target is returned with zero sweeps
 
 # Sequential-generation optimizer defaults.
 SEQGEN_TOL = 1e-12            # |delta cost| over a full sweep

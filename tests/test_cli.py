@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import seqmps
 from seqmps.cli import main
@@ -156,13 +157,27 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     assert err["error"] == "InvalidInputError"
 
 
-@pytest.mark.parametrize("kernel", ["qr", "svd"])
-def test_lapack_failure_exits_2(kernel, monkeypatch, capsys):
+COMPRESS_XXZ = ["--command", "compress", "--target", "xxz", "--n", "6", "--dprime", "2"]
+CNOT_TEST = ["--command", "cnot-test", "--n", "2", "--count", "1", "--restarts", "1",
+             "--max-sweeps", "2"]
+
+
+@pytest.mark.parametrize(
+    "module, kernel, argv",
+    [
+        (np.linalg, "qr", COMPRESS_XXZ),
+        (np.linalg, "svd", COMPRESS_XXZ),
+        (scipy.linalg, "eigh", COMPRESS_XXZ),  # the XXZ target's ground state
+        (scipy.linalg, "schur", CNOT_TEST),  # the geodesic extrapolation
+    ],
+    ids=["qr", "svd", "eigh", "schur"],
+)
+def test_lapack_failure_exits_2(module, kernel, argv, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError(f"injected {kernel} failure")
 
-    monkeypatch.setattr(np.linalg, kernel, fail)
-    code = main(["--command", "compress", "--target", "xxz", "--n", "6", "--dprime", "2"])
+    monkeypatch.setattr(module, kernel, fail)
+    code = main(argv)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["status"] == "error"

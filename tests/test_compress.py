@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqmps
+import seqmps.compress as compress
 from seqmps import InvalidInputError, Mps, OptimizationConfig
+from seqmps.mps import _fold_up, _transfer_down
 
 from oracles import brute_force_fidelity, dense_from_mps, schmidt_values
 
@@ -148,3 +152,62 @@ def test_variational_error_decreases_with_d_prime():
         _, report = seqmps.compress_variational(target, d_prime)
         errors.append(report.error)
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 16), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_site_environment_matches_its_definition(dims, seed):
+    # A one-site walk sets the site to its environment and stops there.
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    trial_up, target_up, target_down, trial_down = dims
+    above = gaussian(trial_up, target_up)
+    site = gaussian(2, target_up, target_down)
+    below = gaussian(target_down, trial_down)
+    ts = [None]
+    compress._half_sweep([site], ts, [below], [above], True)
+    ref = np.einsum("ab,ibc,cd->iad", above.conj(), site, below)
+    assert ts[0].shape == ref.shape
+    assert np.abs(ts[0] - ref).max() / np.abs(ref).max() < 1e-12
+
+
+KEEP_CFG = OptimizationConfig(tol=0.0, max_sweeps=4, good_enough=None)
+
+
+def test_kept_environments_equal_a_fresh_fold(monkeypatch):
+    half_sweep = compress._half_sweep
+    walks = []
+
+    def checked(at, ts, below, above, up):
+        fnorm = half_sweep(at, ts, below, above, up)
+        n = len(at)
+        one = np.eye(1, dtype=complex)
+        if up:
+            kept, fresh = below, [_fold_up(one, at[:k], ts[:k]) for k in range(n)]
+        else:
+            kept, fresh = above, [one] * n
+            for k in range(n - 1, 0, -1):
+                fresh[k - 1] = _transfer_down(fresh[k], ts[k], at[k])
+        assert all(np.array_equal(a, b) for a, b in zip(kept, fresh, strict=True))
+        walks.append(up)
+        return fnorm
+
+    monkeypatch.setattr(compress, "_half_sweep", checked)
+    _, report = seqmps.compress_variational(seqmps.random_mps(10, 8, seed=3), 3, KEEP_CFG)
+    assert report.sweeps == KEEP_CFG.max_sweeps
+    assert walks == [True, False] * report.sweeps
+
+
+def test_each_walk_folds_each_passed_site_once(monkeypatch):
+    calls = []
+    for name in ("_transfer_up", "_transfer_down"):
+        kernel = getattr(compress, name)
+        monkeypatch.setattr(compress, name, lambda *a, kernel=kernel: calls.append(1) or kernel(*a))
+    target = seqmps.random_mps(10, 8, seed=3)
+    _, report = seqmps.compress_variational(target, 3, KEEP_CFG)
+    n = target.n
+    # One fold of the sites above site 1 at the start, then n - 1 per half-sweep.
+    assert len(calls) == (n - 1) + 2 * (n - 1) * report.sweeps

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import seqmps
 from seqmps import GAUGE_LEFT, GAUGE_NONE, CapacityError, InvalidInputError, Mps
-from seqmps.mps import _fold_up, _transfer_down
+from seqmps.mps import _fold_up, _transfer_down, _transfer_up
 
 from oracles import dense_from_mps, random_state, schmidt_values
 
@@ -326,3 +326,34 @@ def test_transfer_kernels_agree_with_fidelity_vector_for_an_open_ket(bra_dims, d
     tail = np.einsum("gp,q->gpq", np.eye(d), a.phi_f)
     for value in cut_contractions(left, tail, ket.tensors, a.tensors):
         assert np.abs(value - ref).max() < 1e-12
+
+
+# The kernels against the three-operand sums of the module docstring, on
+# independent bond sizes, so that a transposition or a misplaced conjugate
+# shared by both kernels (which the cut tests above would not see) fails.
+bonds = st.integers(1, 16)
+
+
+def relative_gap(got, ref):
+    assert got.shape == ref.shape
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=bonds, b=bonds, c=bonds, d=bonds, seed=st.integers(0, 2**32 - 1))
+def test_transfer_up_matches_its_definition(a, b, c, d, seed):
+    rng = np.random.default_rng(seed)
+    ket, left, bra = gaussian(rng, (2, a, b)), gaussian(rng, (b, c)), gaussian(rng, (2, d, c))
+    ref = np.einsum("iab,bc,idc->ad", ket, left, bra.conj())
+    assert relative_gap(_transfer_up(left, ket, bra), ref) < 1e-12
+
+
+@pytest.mark.parametrize("leading", [(), (3,), (2, 3)])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(p=bonds, q=bonds, b=bonds, c=bonds, seed=st.integers(0, 2**32 - 1))
+def test_transfer_down_matches_its_definition(leading, p, q, b, c, seed):
+    rng = np.random.default_rng(seed)
+    tail = gaussian(rng, (*leading, p, q))
+    ket, bra = gaussian(rng, (2, p, b)), gaussian(rng, (2, q, c))
+    ref = np.einsum("...pq,ipb,iqc->...bc", tail, ket, bra.conj())
+    assert relative_gap(_transfer_down(tail, ket, bra), ref) < 1e-12
