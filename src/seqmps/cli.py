@@ -49,8 +49,15 @@ from .seqgen import (
 from .serialize import SCHEMA, fmt17
 from .states import KINDS, TargetSpec, make_target
 from .tolerances import (
+    CHECK_SLACK,
+    CNOT_FAILURE_1MF,
     COMPRESS_MAX_SWEEPS,
     COMPRESS_TOL,
+    COUPLINGS_ONLY_FACTOR,
+    FULL_BOND_ERROR,
+    PRODUCT_SOLVED_1MF,
+    REACHED_1MF,
+    REACHED_1MF_STRICT,
     SEQGEN_MAX_SWEEPS,
     SEQGEN_RESTARTS,
     SEQGEN_TOL,
@@ -255,7 +262,7 @@ def cmd_fig1(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
         for method in ("truncation", "variational"):
             for d_prime in range(1, bond):
                 lo, hi = errors[(state_name, method, d_prime + 1)], errors[(state_name, method, d_prime)]
-                if lo > hi + 1e-12:
+                if lo > hi + CHECK_SLACK:
                     failures.append(
                         {
                             "check": "error_monotone_in_d_prime",
@@ -265,7 +272,7 @@ def cmd_fig1(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
         for d_prime in range(1, bond + 1):
             tr = errors[(state_name, "truncation", d_prime)]
             va = errors[(state_name, "variational", d_prime)]
-            if va > tr + 1e-12:
+            if va > tr + CHECK_SLACK:
                 failures.append(
                     {
                         "check": "variational_beats_truncation",
@@ -273,7 +280,7 @@ def cmd_fig1(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
                     }
                 )
         for method in ("truncation", "variational"):
-            if errors[(state_name, method, bond)] >= 1e-10:
+            if errors[(state_name, method, bond)] >= FULL_BOND_ERROR:
                 failures.append(
                     {
                         "check": "full_bond_error_small",
@@ -307,7 +314,7 @@ def cmd_fig3(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
             )
             values[(n, variant)] = report.one_minus_f
 
-    aug_threshold = 1e-8 if args.strict else 1e-6
+    aug_threshold = REACHED_1MF_STRICT if args.strict else REACHED_1MF
     if n_max >= 4:
         aug = values[(4, "couplings_plus_ancilla")]
         only = values[(4, "couplings_only")]
@@ -315,7 +322,7 @@ def cmd_fig3(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
             failures.append(
                 {"check": "augmented_reaches_target", "detail": {"n": 4, "one_minus_f": aug}}
             )
-        if only < 1e3 * aug:
+        if only < COUPLINGS_ONLY_FACTOR * aug:
             failures.append(
                 {
                     "check": "couplings_only_worse_by_1e3",
@@ -323,7 +330,7 @@ def cmd_fig3(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
                 }
             )
         for variant in ("couplings_only", "couplings_plus_ancilla"):
-            if values[(2, variant)] > values[(4, variant)] + 1e-12:
+            if values[(2, variant)] > values[(4, variant)] + CHECK_SLACK:
                 failures.append(
                     {
                         "check": "smaller_n_no_worse",
@@ -342,7 +349,7 @@ def cmd_random_suite(args, failures: list) -> tuple[list[str], list[dict], dict 
     count = _suite_count(args)
     cfg = _seqgen_config(args, SEQGEN_RESTARTS)
     model = GeneratorModel("xy")
-    threshold = 1e-8 if args.strict else 1e-6
+    threshold = REACHED_1MF_STRICT if args.strict else REACHED_1MF
     rows = []
     max_per_n = {}
     for n in range(2, n_max + 1):
@@ -394,7 +401,7 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[str], list[dict], dict | N
         )
         _, report = optimize(p0, target, cfg)
         rows.append({"seed": seed, "n": n, "one_minus_f": report.one_minus_f})
-        if report.one_minus_f > 1e-3:
+        if report.one_minus_f > CNOT_FAILURE_1MF:
             above += 1
 
     # Product states need no entangler at all, so CNOT + locals must manage.
@@ -410,7 +417,7 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[str], list[dict], dict | N
         failures.append(
             {"check": "cnot_fails_some_target", "detail": {"count": count, "above_1e-3": above}}
         )
-    if product_report.one_minus_f >= 1e-8:
+    if product_report.one_minus_f >= PRODUCT_SOLVED_1MF:
         failures.append(
             {
                 "check": "cnot_handles_product_state",
@@ -420,7 +427,7 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[str], list[dict], dict | N
     summary = {
         "targets": count,
         "above_threshold": above,
-        "failure_threshold": 1e-3,
+        "failure_threshold": CNOT_FAILURE_1MF,
         "max_one_minus_f": max(r["one_minus_f"] for r in rows),
         "min_one_minus_f": min(r["one_minus_f"] for r in rows),
         "product_state_one_minus_f": product_report.one_minus_f,

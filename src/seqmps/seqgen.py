@@ -25,19 +25,22 @@ chain [(slot, 2d x 2d matrix)] with slots ua (U^A x 1), ub_pre
 (1 x U^{B_I}), core (the entangler or fixed gate) and ub_post
 (1 x U^{B_F}); absent locals are left out, and the chain is multiplied out
 from the right.  The factors are updated one at a time, in chain order,
-against their environment (Evenbly & Vidal, PRB 79, 144108 (2009)).  With
-phi_f frozen at its current optimum the objective is Re tr(U . env), and by
-cyclicity of the trace this is Re tr(F_j . M) for factor F_j, where M is the
-cyclic rotation F_{j+1} ... env ... F_{j-1}.  A local factor takes the
-unitary Procrustes solution for M partial-traced over its identity part;
-re-eliminating phi_f afterwards can only help, so every update weakly
-increases F (alternating ascent).  For the Bell-diagonal generators each
-scalar coupling of the core is solved exactly: the squared overlap is a
-trigonometric polynomial with harmonics {0, 1, 2} over the coupling period,
-pinned by five samples.  The dense-generator kind falls back to a guarded
-line search.  After every full sweep a safeguarded geodesic extrapolation
-(kept only when it lowers the cost) jumps along the slow near-linear mode
-that plain coordinate sweeps crawl down.
+against their environment (Evenbly & Vidal, PRB 79, 144108 (2009)).  The
+ancilla vector of a step is linear in its unitary, v = K vec(U), and the map
+K (d x 4d^2) is built once per step from the two environments, the target
+site and the qubit init; folding the other factors into K gives the same
+kind of map for each factor.  With phi_f frozen at its current optimum the
+objective is Re(phi_f^dag v).  A local factor takes the unitary Procrustes
+solution of its map contracted with phi_f and partial-traced over its
+identity part; re-eliminating phi_f afterwards can only help, so every
+update weakly increases F (alternating ascent).  For the Bell-diagonal
+generators each scalar coupling of the core is solved exactly: v(theta) is a
+sum of Bell eigenphases times fixed vectors, so |v|^2 is a trigonometric
+polynomial with harmonics {0, 1, 2} over the coupling period whose
+coefficients are sums of entries of their Gram matrix.  The dense-generator
+kind falls back to a guarded line search.  After every full sweep a
+safeguarded geodesic extrapolation (kept only when it lowers the cost) jumps
+along the slow near-linear mode that plain coordinate sweeps crawl down.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import OptimizationConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, schur, svd
 from .mps import GAUGE_LEFT, Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
@@ -59,6 +62,7 @@ from .tolerances import (
     GATE_UNITARITY_ATOL,
     LOCAL_UNITARITY_ATOL,
     MONOTONE_SLACK,
+    REPORT_COST_ATOL,
     SEQGEN_MAX_SWEEPS,
     SEQGEN_RESTARTS,
     SEQGEN_TOL,
@@ -91,6 +95,9 @@ _BELL_KINDS = {
 }
 MODEL_KINDS = (*_BELL_KINDS, "full_pauli")
 
+# Chain slot -> Protocol field of each local unitary stack.
+_LOCAL_FIELDS = {"ua": "local_ancilla", "ub_pre": "local_qubit_pre", "ub_post": "local_qubit_post"}
+
 # CNOT with the ancilla as control and the qubit as target (basis |a, q>).
 CNOT = np.kron(np.diag([1.0, 0.0]), SIGMA[0]) + np.kron(np.diag([0.0, 1.0]), SIGMA[1])
 
@@ -117,7 +124,6 @@ def ancilla_operator_basis(d: int) -> list[np.ndarray]:
             diag[m, m] = 1.0
         diag[l, l] = -float(l)
         basis.append(np.sqrt(2.0 / (l * (l + 1))) * diag)
-    # Reorder so d = 2 gives (I, s1, s2, s3).
     return basis
 
 
@@ -244,17 +250,16 @@ def build_step_unitary(
     return _product(_factors(core, ua, ub_pre, ub_post))
 
 
-# Partial trace that turns a local factor's cyclic environment, reshaped to
+# Partial trace that turns a local factor's environment, reshaped to
 # (d, 2, d, 2), into its Procrustes input: over the qubit for U^A x 1, over
 # the ancilla for 1 x U^B.
 _TRACE = {"ua": "aibi->ab", "ub_pre": "ajai->ji", "ub_post": "ajai->ji"}
 
 
 def _embed(slot: str, local: np.ndarray, d: int) -> np.ndarray:
-    """A local unitary as a factor on ancilla x qubit."""
-    if slot == "ua":
-        return np.kron(local, np.eye(2))
-    return np.kron(np.eye(d), local)
+    """A local unitary as a factor on ancilla x qubit: kron(local, 1) or kron(1, local)."""
+    a, b = (local, np.eye(2)) if slot == "ua" else (np.eye(d), local)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(2 * d, 2 * d)
 
 
 def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
@@ -286,24 +291,41 @@ def _product(chain: list) -> np.ndarray:
     return u
 
 
-def _local_env(chain: list, j: int, env: np.ndarray) -> np.ndarray:
-    """Procrustes input of the local factor chain[j] against env.
+def _factor_map(chain: list, j: int, kmat: np.ndarray) -> np.ndarray:
+    """The step map with the factors L before and R after F = chain[j] folded in.
 
-    With U the chain's product, Re tr(U env) = Re tr(F_j M), where M is the
-    cyclic rotation chain[j+1:] + [env] + chain[:j] folded from the left;
-    M's partial trace over F_j's identity part is the matrix whose
-    Procrustes unitary maximizes the objective over F_j.
+    kmat[g] . vec(L F R) = (L^T kmat[g] R^T) . vec(F), so v = out @ F.ravel().
     """
-    mats = [f for _, f in chain[j + 1 :]] + [env] + [f for _, f in chain[:j]]
-    m = functools.reduce(np.matmul, mats)
-    d = env.shape[0] // 2
-    return np.einsum(_TRACE[chain[j][0]], m.reshape(d, 2, d, 2))
+    dim = chain[j][1].shape[0]
+    out = kmat.reshape(-1, dim, dim)
+    if j > 0:
+        out = _product(chain[:j]).T @ out
+    if j + 1 < len(chain):
+        out = out @ _product(chain[j + 1 :]).T
+    return out.reshape(len(kmat), -1)
 
 
 def _step_isometry(step_u: np.ndarray, init: np.ndarray, d: int) -> np.ndarray:
     """Contract the qubit init into a step unitary: (2, d, d) site tensor."""
-    u4 = step_u.reshape(d, 2, d, 2)
-    return np.tensordot(u4, init, axes=([3], [0])).transpose(1, 0, 2)
+    return (step_u.reshape(2 * d * d, 2) @ init).reshape(d, 2, d).transpose(1, 0, 2)
+
+
+def _step_map(l_env, bra, t_env, init) -> np.ndarray:
+    """Linear map K (d x 4d^2) of one step, v(U) = K @ U.ravel() for U[(a i), (b j)]:
+
+    K[g, (a i b j)] = sum_c t_env[g, a, c] bt[i, b, c] init[j], bt[i] = l_env @ bra^i^dag.
+    """
+    d = l_env.shape[0]
+    bt = l_env @ bra.conj().swapaxes(1, 2)
+    tb = t_env.reshape(d * d, -1) @ bt.reshape(2 * d, -1).T
+    return (tb[:, :, None] * init).reshape(d, -1)
+
+
+def _frozen_env(kmat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Environment of U with phi_f frozen at v / ||v||: Re tr(U @ env) = Re(phi^dag kmat vec(U))."""
+    fnorm = np.linalg.norm(v)
+    phi = v / fnorm if fnorm > ZERO_NORM else _basis_vec(len(v))
+    return (phi.conj() @ kmat).reshape(2 * len(v), -1).T
 
 
 def _check_unit(vec, name: str, length: int) -> np.ndarray:
@@ -388,11 +410,7 @@ class Protocol:
     @property
     def _locals(self) -> dict:
         """Local unitary stacks by chain slot, None where absent."""
-        return {
-            "ua": self.local_ancilla,
-            "ub_pre": self.local_qubit_pre,
-            "ub_post": self.local_qubit_post,
-        }
+        return {slot: getattr(self, name) for slot, name in _LOCAL_FIELDS.items()}
 
     def step_unitary(self, k: int) -> np.ndarray:
         """Full unitary of step k (1-based)."""
@@ -414,7 +432,7 @@ class Protocol:
             "couplings": None if self.couplings is None else self.couplings.tolist(),
             "qubit_inits": complex_to_pairs(self.qubit_inits),
             "phi_i": complex_to_pairs(self.phi_i),
-            **{key: opt(key) for key in ("local_ancilla", "local_qubit_pre", "local_qubit_post")},
+            **{key: opt(key) for key in _LOCAL_FIELDS.values()},
             "fixed_gate": opt("fixed_gate"),
         }
         return json.dumps(doc)
@@ -431,10 +449,7 @@ class Protocol:
                 couplings=None if doc["couplings"] is None else np.asarray(doc["couplings"]),
                 qubit_inits=pairs_to_complex(doc["qubit_inits"]),
                 phi_i=pairs_to_complex(doc["phi_i"]),
-                local_ancilla=opt("local_ancilla"),
-                local_qubit_pre=opt("local_qubit_pre"),
-                local_qubit_post=opt("local_qubit_post"),
-                fixed_gate=opt("fixed_gate"),
+                **{key: opt(key) for key in (*_LOCAL_FIELDS.values(), "fixed_gate")},
             )
 
         return load_document(text, build)
@@ -509,10 +524,9 @@ class FidelityReport:
     def __post_init__(self):
         if not -FIDELITY_SLACK <= self.fidelity <= FIDELITY_CLAMP:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
-        if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > 1e-12:
+        if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > REPORT_COST_ATOL:
             raise InvalidInputError("cost is not 2 (1 - fidelity)")
-        h = np.asarray(self.history, dtype=float)
-        if h.size and np.any(np.diff(h) > MONOTONE_SLACK):
+        if not _non_increasing(self.history):
             raise InvalidInputError("history is not non-increasing")
 
     @property
@@ -531,6 +545,10 @@ class FidelityReport:
             "restarts_used": self.restarts_used,
             "history_length": len(self.history),
         }
+
+
+def _non_increasing(history) -> bool:
+    return not np.any(np.diff(np.asarray(history, dtype=float)) > MONOTONE_SLACK)
 
 
 def _target_arrays(target: Mps):
@@ -572,6 +590,7 @@ class _SweepState:
     """Mutable working copy of a protocol during optimization."""
 
     def __init__(self, p: Protocol, target: Mps):
+        self.start = p
         self.model = p.model
         self.d = p.model.d_ancilla
         self.n = p.n
@@ -596,17 +615,8 @@ class _SweepState:
         return _fold_up(self.left_seed(), self.v_sites, self.at) @ self.at_phi_f
 
     def to_protocol(self) -> Protocol:
-        return Protocol(
-            n=self.n,
-            model=self.model,
-            couplings=self.couplings,
-            qubit_inits=self.inits,
-            phi_i=self.phi_i,
-            local_ancilla=self._locals["ua"],
-            local_qubit_pre=self._locals["ub_pre"],
-            local_qubit_post=self._locals["ub_post"],
-            fixed_gate=self.fixed_gate,
-        )
+        stacks = {name: self._locals[slot] for slot, name in _LOCAL_FIELDS.items()}
+        return replace(self.start, couplings=self.couplings, phi_i=self.phi_i, **stacks)
 
 
 def _golden_min(f, lo: float, hi: float, evals: int = 24) -> float:
@@ -654,23 +664,24 @@ def _golden_min(f, lo: float, hi: float, evals: int = 24) -> float:
     return float(x)
 
 
-def _coupling_argmax(f2, period: float) -> float:
+_PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+
+
+def _harmonic_sum(coef, ph):
+    """c0 + 2 Re(c1 e^{i ph}) + 2 Re(c2 e^{2i ph}) for coef = (c0, c1, c2)."""
+    c0, c1, c2 = coef
+    return c0.real + 2.0 * (c1 * np.exp(1j * ph)).real + 2.0 * (c2 * np.exp(2j * ph)).real
+
+
+def _coupling_argmax(coef, period: float) -> float:
     """Exact maximizer of a coupling's squared overlap over one period.
 
-    For the Bell-diagonal entanglers the squared overlap is a trigonometric
-    polynomial with harmonics {0, 1, 2} in 2*pi*theta/period, so five samples
-    determine it exactly; the maximum is then refined analytically.
+    |v|^2 = _harmonic_sum(coef, 2 pi theta / period), with coef from the Gram
+    matrix of _coupling_harmonics; a 128-point grid brackets the maximum and
+    Newton steps refine it.
     """
-    samples = np.array([f2(j * period / 5.0) for j in range(5)])
-    coef = np.fft.fft(samples) / 5.0
-    c1, c2 = coef[1], coef[2]
-    grid = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    vals = (
-        coef[0].real
-        + 2.0 * (c1 * np.exp(1j * grid)).real
-        + 2.0 * (c2 * np.exp(2j * grid)).real
-    )
-    ph = float(grid[int(np.argmax(vals))])
+    _, c1, c2 = coef
+    ph = float(_PHASE_GRID[int(np.argmax(_harmonic_sum(coef, _PHASE_GRID)))])
     for _ in range(4):
         e1 = c1 * np.exp(1j * ph)
         e2 = c2 * np.exp(2j * ph)
@@ -682,31 +693,51 @@ def _coupling_argmax(f2, period: float) -> float:
     return float((ph % (2.0 * np.pi)) * period / (2.0 * np.pi))
 
 
-def _sweep_once(st: _SweepState, up: bool) -> float:
+def _coupling_harmonics(model: GeneratorModel, params: np.ndarray, m: int, kcore: np.ndarray):
+    """Harmonics (c0, c1, c2) of |kcore @ C.ravel()|^2 over coupling m of a Bell-diagonal core C.
+
+    C = sum_k exp(-i (base_k + theta row_k)) b_k b_k^T over the Bell vectors,
+    so v = sum_k exp(-i theta row_k) u_k, u_k = exp(-i base_k) kcore @ vec(b_k b_k^T),
+    and c_h sums the Gram entries u_k^dag u_l with (row_k - row_l) period / (2 pi) = h.
+    """
+    period, rows = _BELL_KINDS[model.kind]
+    others = params.copy()
+    others[m] = 0.0
+    w = (_BELL * (kcore.reshape(-1, 4, 4) @ _BELL)).sum(axis=-2)
+    u = w * np.exp(-1j * model._bell_eigenvalues(others))
+    gram = u.conj().T @ u
+    harm = np.rint(np.subtract.outer(rows[m], rows[m]) * period / (2.0 * np.pi))
+    return tuple(gram[harm == h].sum() for h in range(3))
+
+
+def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> float:
     """One half-sweep (all steps, ascending or descending); returns last cost.
 
-    lefts[k] folds steps [0, k) and tails[k] steps (k, n): the far side
-    first, the near side after each step's update.
+    lefts[k] folds steps [0, k) and tails[k] steps (k, n), kept across
+    half-sweeps: a walk reads the side ahead as the last walk left it and
+    refolds the side behind it (from left_seed() going up) after each update,
+    so every kept entry equals a fresh fold of the current sites, bit for bit.
     """
-    n = st.n
-    lefts = [st.left_seed()] + [None] * (n - 1)
-    tails = [None] * (n - 1) + [st.tail_seed()]
-
-    def fold_left(k):
-        lefts[k + 1] = _transfer_up(lefts[k], st.v_sites[k], st.at[k])
-
-    def fold_tail(k):
-        tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
-
-    order = range(n) if up else range(n - 1, -1, -1)
-    fold, prefold = (fold_left, fold_tail) if up else (fold_tail, fold_left)
-    for k in reversed(order[1:]):
-        prefold(k)
+    order = range(st.n) if up else range(st.n - 1, -1, -1)
+    if up:
+        lefts[0] = st.left_seed()
     for k in order:
         cost = _update_step(st, k, lefts[k], tails[k])
-        if k != order[-1]:
-            fold(k)
+        if k == order[-1]:
+            break
+        if up:
+            lefts[k + 1] = _transfer_up(lefts[k], st.v_sites[k], st.at[k])
+        else:
+            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
     return cost
+
+
+def _fold_tails(st: _SweepState) -> list:
+    """tails[k] for every step: the sites (k, n) folded down from tail_seed()."""
+    tails = [None] * (st.n - 1) + [st.tail_seed()]
+    for k in range(st.n - 1, 0, -1):
+        tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
+    return tails
 
 
 def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
@@ -714,78 +745,58 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
 
     Each update is a closed-form ascent step (a Procrustes solution for a
     local, an accepted-only line search for the couplings; a fixed gate is
-    left alone), so the cost history stays non-increasing.
+    left alone), so the cost history stays non-increasing.  Every evaluation
+    goes through the step map, built once.
     """
-    d = st.d
-    s = st.inits[i]
-    # bt[i] = l_env @ A^i(dag): the target side folded into the environment.
-    bt = np.einsum("bc,idc->ibd", l_env, st.at[i].conj())
-    tm_mat = t_env.reshape(d, -1)
-
-    def v_of_unitary(u):
-        v_site = _step_isometry(u, s, d)
-        x = np.tensordot(v_site, bt, axes=([0, 2], [0, 1]))
-        return tm_mat @ x.reshape(-1)
-
-    def env_for_total(v, fnorm):
-        # Environment of the full step unitary with phi_f frozen at v/||v||:
-        # Re tr(U_total @ env) is the frozen objective.
-        phi = v / fnorm if fnorm > ZERO_NORM else _basis_vec(d)
-        u_fold = np.einsum("g,gbc->bc", phi.conj(), t_env)
-        w = np.einsum("ipc,bc->ipb", bt, u_fold)  # w[i, b', b] = (bt_i @ u^T)
-        return np.einsum("j,ipb->pjbi", s, w).reshape(2 * d, 2 * d)
-
+    kmat = _step_map(l_env, st.at[i], t_env, st.inits[i])
     chain = _step_factors(st, i)
     u = _product(chain)
-    v = v_of_unitary(u)
-    fnorm = np.linalg.norm(v)
+    v = kmat @ u.ravel()
     for j, (slot, _) in enumerate(chain):
-        if slot != "core":
-            local = procrustes_unitary(_local_env(chain, j, env_for_total(v, fnorm)))
-            st._locals[slot][i] = local
-            chain[j] = (slot, _embed(slot, local, d))
-        elif st.couplings is not None:
-            _search_couplings(st.model, st.couplings[i], chain, j, v_of_unitary)
-        else:
+        if slot == "core" and st.couplings is None:
             continue
+        kf = _factor_map(chain, j, kmat)
+        if slot == "core":
+            _search_couplings(st.model, st.couplings[i], kf)
+            chain[j] = (slot, st.model.entangler(st.couplings[i]))
+        else:
+            env = _frozen_env(kf, v).reshape(st.d, 2, st.d, 2)
+            local = procrustes_unitary(np.einsum(_TRACE[slot], env))
+            st._locals[slot][i] = local
+            chain[j] = (slot, _embed(slot, local, st.d))
         u = _product(chain)
-        v = v_of_unitary(u)
-        fnorm = np.linalg.norm(v)
-        st.history.append(2.0 * (1.0 - min(fnorm, FIDELITY_CLAMP)))
-    st.v_sites[i] = _step_isometry(u, s, d)
+        v = kmat @ u.ravel()
+        st.history.append(2.0 * (1.0 - min(np.linalg.norm(v), FIDELITY_CLAMP)))
+    st.v_sites[i] = _step_isometry(u, st.inits[i], st.d)
     return st.history[-1]
 
 
-def _search_couplings(model: GeneratorModel, params: np.ndarray, chain: list, j: int, v_of_unitary):
-    """Line-search each coupling of one step in turn, updating params in place.
+def _search_couplings(model: GeneratorModel, params: np.ndarray, kcore: np.ndarray) -> None:
+    """Line-search each coupling of a core C with v = kcore @ C.ravel(), updating params in place.
 
-    Every trial entangler goes into the core slot chain[j], so an evaluation
-    is one chain product; on return the slot holds the entangler of params.
-    A candidate is accepted only if it beats the current value, so the cost
-    stays non-increasing.
+    Bell-diagonal couplings take the exact argmax of their harmonics,
+    full_pauli ones a golden-section search; a candidate is accepted only if
+    |v|^2 does not drop there, so the cost stays non-increasing.
     """
     lo, hi = model.coupling_interval()
-
-    def f2_of(theta, m):
-        trial = params.copy()
-        trial[m] = theta
-        chain[j] = ("core", model.entangler(trial))
-        return float(np.linalg.norm(v_of_unitary(_product(chain))) ** 2)
-
     for m in range(model.param_count):
         if model.kind in _BELL_KINDS:
-            cand = _coupling_argmax(lambda theta: f2_of(theta, m), hi - lo)
-            if f2_of(cand, m) >= f2_of(params[m], m):
-                params[m] = cand
+            coef = _coupling_harmonics(model, params, m, kcore)
+
+            def overlap2(theta):
+                return _harmonic_sum(coef, 2.0 * np.pi * theta / (hi - lo))
+
+            cand = _coupling_argmax(coef, hi - lo)
         else:
 
-            def cost_of(theta):
-                return 2.0 * (1.0 - np.sqrt(max(f2_of(theta, m), 0.0)))
+            def overlap2(theta):
+                trial = params.copy()
+                trial[m] = theta
+                return np.linalg.norm(kcore @ model.entangler(trial).ravel()) ** 2
 
-            cand = _golden_min(cost_of, lo, hi)
-            if cost_of(cand) <= cost_of(params[m]):
-                params[m] = cand
-    chain[j] = ("core", model.entangler(params))
+            cand = _golden_min(lambda theta: -overlap2(theta), lo, hi)
+        if overlap2(cand) >= overlap2(params[m]):
+            params[m] = cand
 
 
 def _update_phi_i(st: _SweepState) -> None:
@@ -824,19 +835,11 @@ def _load_snapshot(st: _SweepState, snap) -> None:
 
 def _extrapolated(st: _SweepState, prev, cur, beta: float):
     """Geodesic extrapolation cur + beta * (cur - prev) of all parameters."""
-    out = []
-    for p_stack, c_stack in zip(prev[:3], cur[:3]):
-        if c_stack is None:
-            out.append(None)
-            continue
-        out.append(
-            np.stack(
-                [
-                    c @ _unitary_power(p.conj().T @ c, beta)
-                    for p, c in zip(p_stack, c_stack)
-                ]
-            )
-        )
+    out = [
+        None if c_stack is None
+        else np.stack([c @ _unitary_power(p.conj().T @ c, beta) for p, c in zip(p_stack, c_stack)])
+        for p_stack, c_stack in zip(prev[:3], cur[:3])
+    ]
     if cur[3] is None:
         out.append(None)
     else:
@@ -898,13 +901,19 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
     sweeps = 0
     converged = False
     snaps = [_snapshot(st)]
+    # phi_i enters only lefts, which every up walk rebuilds from left_seed();
+    # tails must be refolded only when an extrapolation moved the sites.
+    lefts, tails = [None] * st.n, _fold_tails(st)
     for sweep in range(cfg.max_sweeps):
-        _sweep_once(st, up=True)
-        cost = _sweep_once(st, up=False)
+        _sweep_once(st, lefts, tails, up=True)
+        cost = _sweep_once(st, lefts, tails, up=False)
         if cfg.vary_phi_i:
             _update_phi_i(st)
             cost = st.history[-1]
-        cost = _extrapolate_sweep(st, snaps, cost)
+        extrapolated = _extrapolate_sweep(st, snaps, cost)
+        if extrapolated < cost:
+            tails = _fold_tails(st)
+        cost = extrapolated
         snaps.append(_snapshot(st))
         if len(snaps) > _EXTRAP_MEMORY:
             snaps.pop(0)
@@ -921,22 +930,12 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
 
 def _randomized(p: Protocol, rng: np.random.Generator) -> Protocol:
     """Random restart point with the same structure as p."""
-    d = p.model.d_ancilla
     lo, hi = p.model.coupling_interval()
-    couplings = None
-    if p.couplings is not None:
-        couplings = rng.uniform(lo, hi, size=p.couplings.shape)
-    stack = lambda dim: np.stack([haar_unitary(dim, rng) for _ in range(p.n)])
-    return Protocol(
-        n=p.n,
-        model=p.model,
-        couplings=couplings,
-        qubit_inits=p.qubit_inits,
-        phi_i=p.phi_i,
-        local_ancilla=None if p.local_ancilla is None else stack(d),
-        local_qubit_pre=None if p.local_qubit_pre is None else stack(2),
-        local_qubit_post=None if p.local_qubit_post is None else stack(2),
-        fixed_gate=p.fixed_gate,
+    stack = lambda a: None if a is None else np.stack([haar_unitary(len(a[0]), rng) for _ in a])
+    return replace(
+        p,
+        couplings=None if p.couplings is None else rng.uniform(lo, hi, size=p.couplings.shape),
+        **{name: stack(getattr(p, name)) for name in _LOCAL_FIELDS.values()},
     )
 
 
@@ -978,6 +977,8 @@ def optimize(
         if cfg.good_enough is not None and best[0] <= cfg.good_enough:
             break
     cost, st, sweeps, converged = best
+    if not _non_increasing(st.history):
+        raise NumericalFailureError("the optimizer's cost history is not non-increasing")
     p_opt = st.to_protocol()
     report = _report(
         fidelity_vector(p_opt, target),
@@ -1002,6 +1003,5 @@ def optimize_full_local(
     if p0.model.kind != "xy" or p0.model.d_ancilla != 2:
         raise InvalidInputError("optimize_full_local requires the xy model with d_ancilla = 2")
     eye = np.broadcast_to(np.eye(2, dtype=complex), (p0.n, 2, 2))
-    fields = ("local_ancilla", "local_qubit_pre", "local_qubit_post")
-    missing = {name: eye.copy() for name in fields if getattr(p0, name) is None}
+    missing = {name: eye.copy() for name in _LOCAL_FIELDS.values() if getattr(p0, name) is None}
     return optimize(replace(p0, fixed_gate=None, **missing), target, cfg)

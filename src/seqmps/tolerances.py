@@ -22,6 +22,9 @@ NORM_ATOL = 1e-10             # norm of a normalized MPS is 1 within this
 # Monotone sweep assertions (exact local minimization plus roundoff).
 MONOTONE_SLACK = 1e-12
 
+# A FidelityReport's cost must equal 2 (1 - fidelity) within this.
+REPORT_COST_ATOL = 1e-12
+
 # Fidelities are clamped to FIDELITY_CLAMP against roundoff; reports accept
 # values in [-FIDELITY_SLACK, FIDELITY_CLAMP].
 FIDELITY_SLACK = 1e-9
@@ -41,6 +44,15 @@ SEQGEN_TOL = 1e-12            # |delta cost| over a full sweep
 SEQGEN_MAX_SWEEPS = 500
 SEQGEN_RESTARTS = 5
 GOOD_ENOUGH_COST = 1e-10      # skip remaining restarts once cost is below this
+
+# Checks of the CLI commands (a failed one makes the command exit 1).
+CHECK_SLACK = 1e-12           # roundoff allowed when comparing 1-F or errors between rows
+FULL_BOND_ERROR = 1e-10       # fig1: compression at the target's own bond is exact
+REACHED_1MF = 1e-6            # fig3 / random-suite: 1-F below this reaches the target
+REACHED_1MF_STRICT = 1e-8     # the same under --strict
+COUPLINGS_ONLY_FACTOR = 1e3   # fig3: couplings-only 1-F exceeds the augmented one by this factor
+CNOT_FAILURE_1MF = 1e-3       # cnot-test: a target with 1-F above this is one CNOT + locals miss
+PRODUCT_SOLVED_1MF = 1e-8     # cnot-test: the product-state target must reach this
 
 # Ground-state degeneracy detection.
 DEGENERACY_GAP = 1e-10

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import seqmps
+import seqmps.seqgen as seqgen
 from seqmps.cli import main
 
 
@@ -178,6 +179,23 @@ def test_lapack_failure_exits_2(module, kernel, argv, monkeypatch, capsys):
 
     monkeypatch.setattr(module, kernel, fail)
     code = main(argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error"] == "NumericalFailureError"
+
+
+def test_non_monotone_optimizer_history_exits_2(monkeypatch, capsys):
+    # A cost history that rises is a fault of the optimizer, not of its input.
+    run_sweeps = seqgen._run_sweeps
+
+    def rising(st, cfg):
+        out = run_sweeps(st, cfg)
+        st.history.append(st.history[-1] + 1e-6)
+        return out
+
+    monkeypatch.setattr(seqgen, "_run_sweeps", rising)
+    code = main(["--command", "generate", "--n", "3", "--restarts", "1", "--max-sweeps", "2"])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["status"] == "error"

@@ -6,8 +6,11 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqmps
+import seqmps.seqgen as seqgen
 from seqmps import (
     CNOT,
     FidelityReport,
@@ -15,6 +18,7 @@ from seqmps import (
     InvalidInputError,
     Protocol,
 )
+from seqmps.mps import _fold_up, _transfer_down
 
 import oracles
 from oracles import (
@@ -550,3 +554,150 @@ def test_default_config_values():
         seqmps.default_config(restarts=0)
     with pytest.raises(InvalidInputError):
         seqmps.default_config(init="guess")
+
+
+def random_step_environments(rng, d, bonds):
+    """Gaussian l_env, target site, t_env and a unit qubit init for one step."""
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    below, above = bonds
+    init = gaussian(2)
+    init /= np.linalg.norm(init)
+    return gaussian(d, below), gaussian(2, above, below), gaussian(d, d, above), init
+
+
+BONDS = st.lists(st.integers(1, 4), min_size=2, max_size=2)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), bonds=BONDS, seed=SEEDS)
+def test_step_map_matches_its_definition(d, bonds, seed):
+    rng = np.random.default_rng(seed)
+    l_env, bra, t_env, init = random_step_environments(rng, d, bonds)
+    u, w = (seqmps.haar_unitary(2 * d, rng) for _ in range(2))
+    kmat = seqgen._step_map(l_env, bra, t_env, init)
+    v = kmat @ u.ravel()
+    # The two-tensordot evaluation the map replaces.
+    site = np.tensordot(u.reshape(d, 2, d, 2), init, axes=([3], [0])).transpose(1, 0, 2)
+    bt = np.einsum("bc,idc->ibd", l_env, bra.conj())
+    x = np.tensordot(site, bt, axes=([0, 2], [0, 1]))
+    ref = t_env.reshape(d, -1) @ x.reshape(-1)
+    scale = np.abs(kmat).sum()
+    assert np.abs(v - ref).max() <= 1e-12 * scale
+    assert np.abs(seqgen._step_isometry(u, init, d) - site).max() <= 1e-12
+    # The frozen-phi_f environment gives Re tr(W env) = Re(phi^dag K vec(W)).
+    env = seqgen._frozen_env(kmat, v)
+    phi = v / np.linalg.norm(v)
+    for x in (u, w):
+        assert abs(np.trace(x @ env).real - (phi.conj() @ kmat @ x.ravel()).real) <= 1e-12 * scale
+
+
+BELL_COUPLINGS = st.sampled_from([("xy", 0), ("xxz", 0), ("xxz", 1), ("ion_xy", 0)])
+
+
+def bell_coupling_case(kind_m, bonds, seed):
+    """Harmonics of one coupling with random locals in all three slots, and the brute |v|^2."""
+    kind, m = kind_m
+    model = GeneratorModel(kind)
+    rng = np.random.default_rng(seed)
+    kmat = seqgen._step_map(*random_step_environments(rng, 2, bonds))
+    kmat /= 2.0 * np.linalg.norm(kmat, 2)  # |v| <= 1 for every 4x4 unitary
+    lo, hi = model.coupling_interval()
+    params = rng.uniform(lo, hi, model.param_count)
+    ua, pre, post = (seqmps.haar_unitary(2, rng) for _ in range(3))
+    chain = seqgen._factors(model.entangler(params), ua=ua, ub_pre=pre, ub_post=post)
+    j = [slot for slot, _ in chain].index("core")
+    coef = seqgen._coupling_harmonics(model, params, m, seqgen._factor_map(chain, j, kmat))
+
+    def brute(theta):
+        trial = params.copy()
+        trial[m] = theta
+        chain[j] = ("core", model.entangler(trial))
+        return np.linalg.norm(kmat @ seqgen._product(chain).ravel()) ** 2
+
+    return coef, brute, (lo, hi), rng
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind_m=BELL_COUPLINGS, bonds=BONDS, seed=SEEDS)
+def test_coupling_harmonics_give_the_exact_profile(kind_m, bonds, seed):
+    coef, brute, (lo, hi), rng = bell_coupling_case(kind_m, bonds, seed)
+    for theta in rng.uniform(lo - 1.0, hi + 1.0, 8):
+        profile = seqgen._harmonic_sum(coef, 2.0 * np.pi * theta / (hi - lo))
+        assert abs(profile - brute(theta)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(kind_m=BELL_COUPLINGS, bonds=BONDS, seed=SEEDS)
+def test_coupling_argmax_beats_a_dense_grid(kind_m, bonds, seed):
+    coef, brute, (lo, hi), _ = bell_coupling_case(kind_m, bonds, seed)
+    best = brute(seqgen._coupling_argmax(coef, hi - lo))
+    assert best >= max(brute(theta) for theta in np.linspace(lo, hi, 2000)) - 1e-12
+
+
+# Every sweep runs to the cap, updates phi_i, and (for this start) accepts
+# extrapolations in some sweeps and not in others.
+KEEP_TARGET = seqmps.random_mps(5, 2, seed=11)
+KEEP_START = random_protocol(GeneratorModel("xy"), 5, seed=12)
+KEEP_CFG = seqmps.default_config(
+    tol=0.0, max_sweeps=6, restarts=1, good_enough=None, vary_phi_i=True
+)
+
+
+def counting_extrapolations(monkeypatch):
+    extrapolate = seqgen._extrapolate_sweep
+    accepted = []
+
+    def counted(st, snaps, cost):
+        out = extrapolate(st, snaps, cost)
+        accepted.append(out < cost)
+        return out
+
+    monkeypatch.setattr(seqgen, "_extrapolate_sweep", counted)
+    return accepted
+
+
+def test_kept_environments_equal_a_fresh_fold(monkeypatch):
+    sweep_once = seqgen._sweep_once
+    walks = []
+
+    def fresh(st):
+        lefts = [_fold_up(st.left_seed(), st.v_sites[:k], st.at[:k]) for k in range(st.n)]
+        tails = [None] * (st.n - 1) + [st.tail_seed()]
+        for k in range(st.n - 1, 0, -1):
+            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
+        return lefts, tails
+
+    def same(kept, fold):
+        return all(np.array_equal(a, b) for a, b in zip(kept, fold, strict=True))
+
+    def checked(st, lefts, tails, up):
+        # The side ahead of the walk is kept from earlier; the side behind it is rebuilt.
+        assert same(tails, fresh(st)[1]) if up else same(lefts, fresh(st)[0])
+        cost = sweep_once(st, lefts, tails, up)
+        assert same(lefts, fresh(st)[0]) if up else same(tails, fresh(st)[1])
+        walks.append(up)
+        return cost
+
+    monkeypatch.setattr(seqgen, "_sweep_once", checked)
+    accepted = counting_extrapolations(monkeypatch)
+    _, report = seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
+    assert report.sweeps == KEEP_CFG.max_sweeps
+    assert walks == [True, False] * report.sweeps
+    assert any(accepted) and not all(accepted)
+
+
+def test_each_walk_folds_each_passed_step_once(monkeypatch):
+    calls = []
+    for name in ("_transfer_up", "_transfer_down"):
+        kernel = getattr(seqgen, name)
+        monkeypatch.setattr(seqgen, name, lambda *a, kernel=kernel: calls.append(1) or kernel(*a))
+    accepted = counting_extrapolations(monkeypatch)
+    _, report = seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
+    n = KEEP_TARGET.n
+    # The tails are folded at the start and after each accepted extrapolation,
+    # then each half-sweep folds n - 1 steps behind it.
+    assert len(calls) == (n - 1) * (1 + sum(accepted) + 2 * report.sweeps)
