@@ -29,7 +29,6 @@ from .linalg import (
     haar_unitary,
     procrustes_unitary,
     svd,
-    unitary_completion,
 )
 from .mps import (
     GAUGE_LEFT,
@@ -118,7 +117,6 @@ __all__ = [
     "svd",
     "to_state_vector",
     "truncate_per_matrix",
-    "unitary_completion",
     "w_state",
     "xxz_dense_hamiltonian",
     "xxz_ground",

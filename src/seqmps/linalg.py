@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .tolerances import HERMITICITY_ATOL, RANK_RTOL
+from .tolerances import HERMITICITY_ATOL
 
 # Pauli matrices sigma_0..sigma_3 in the computational basis |0>, |1>.
 SIGMA = (
@@ -58,12 +58,6 @@ class SvdResult:
     def __iter__(self):
         """Unpacks as (u, s, vdag), like numpy.linalg.svd."""
         return iter((self.u, self.s, self.vdag))
-
-    def rank(self, rtol: float = RANK_RTOL) -> int:
-        """Number of singular values above rtol * s_max."""
-        if self.s.size == 0 or self.s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(self.s > rtol * self.s[0]))
 
 
 def svd(a) -> SvdResult:
@@ -169,31 +163,6 @@ def procrustes_unitary(env) -> np.ndarray:
         raise InvalidInputError(f"env must be square, got shape {env.shape}")
     f = svd(env.conj().T)
     return f.u @ f.vdag
-
-
-def unitary_completion(isometry) -> np.ndarray:
-    """Extend a matrix with orthonormal columns to a full unitary.
-
-    The first r columns of the result equal the input exactly; the remaining
-    columns are an orthonormal basis of the complement, chosen
-    deterministically.
-    """
-    v = _as_matrix(isometry, "isometry")
-    m, r = v.shape
-    if r > m:
-        raise InvalidInputError("isometry has more columns than rows")
-    gram = v.conj().T @ v
-    if np.abs(gram - np.eye(r)).max(initial=0.0) > 1e-10:
-        raise InvalidInputError("columns are not orthonormal")
-    if r == m:
-        return v.copy()
-    # Orthonormal basis of the orthogonal complement from the SVD of the
-    # projector I - v v^dag (its rank-(m-r) range).
-    proj = np.eye(m) - v @ v.conj().T
-    f = svd(proj)
-    comp = f.u[:, : m - r]
-    out = np.concatenate([v, comp], axis=1)
-    return out
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

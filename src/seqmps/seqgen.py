@@ -37,10 +37,13 @@ update weakly increases F (alternating ascent).  For the Bell-diagonal
 generators each scalar coupling of the core is solved exactly: v(theta) is a
 sum of Bell eigenphases times fixed vectors, so |v|^2 is a trigonometric
 polynomial with harmonics {0, 1, 2} over the coupling period whose
-coefficients are sums of entries of their Gram matrix.  The dense-generator
-kind falls back to a guarded line search.  After every full sweep a
-safeguarded geodesic extrapolation (kept only when it lowers the cost) jumps
-along the slow near-linear mode that plain coordinate sweeps crawl down.
+coefficients are sums of entries of their Gram matrix.  The full_pauli terms
+B_j x sigma_k span all Hermitian 2d x 2d matrices, so its core ranges over
+all of U(2d): it takes the Procrustes update of its whole map, and its
+couplings are read off the principal logarithm of the result.  After every
+full sweep a safeguarded geodesic extrapolation (kept only when it lowers the
+cost) jumps along the slow near-linear mode that plain coordinate sweeps
+crawl down.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, sch
 from .mps import GAUGE_LEFT, Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
+    ARGMAX_CURVATURE_ATOL,
     FIDELITY_CLAMP,
     FIDELITY_SLACK,
     GATE_UNITARITY_ATOL,
@@ -136,19 +140,22 @@ def _full_pauli_terms(d: int) -> np.ndarray:
 
 
 def pauli_coefficients(h) -> np.ndarray:
-    """Expand a two-qubit Hermitian matrix in the sigma_j x sigma_k basis.
+    """Expand a Hermitian 2d x 2d matrix in the full_pauli basis B_j x sigma_k.
 
-    Returns the real (4, 4) coefficient table c with
-    h = sum_{j,k} c[j, k] sigma_j x sigma_k.
+    Returns the real (d^2, 4) coefficient table c with
+    h = sum_{j,k} c[j, k] B_j x sigma_k (B_j from ancilla_operator_basis), so
+    it inverts GeneratorModel("full_pauli", d).generator; at d = 2 the table
+    is over sigma_j x sigma_k.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (4, 4):
-        raise InvalidInputError("pauli_coefficients expects a 4x4 matrix")
-    coeffs = np.empty((4, 4))
-    for j in range(4):
-        for k in range(4):
-            coeffs[j, k] = np.trace(np.kron(SIGMA[j], SIGMA[k]) @ h).real / 4.0
-    return coeffs
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 or h.shape[0] < 4:
+        raise InvalidInputError(
+            f"pauli_coefficients expects a 2d x 2d matrix with d >= 2, got shape {h.shape}"
+        )
+    terms = _full_pauli_terms(h.shape[0] // 2)
+    terms = terms.reshape(*terms.shape[:2], -1)
+    # The terms are orthogonal, so c = <T, h> / <T, T> in the Frobenius product.
+    return (terms.conj() @ h.ravel()).real / (np.abs(terms) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,11 @@ class GeneratorModel:
         return 4 * self.d_ancilla**2
 
     def coupling_interval(self) -> tuple[float, float]:
-        """Search box for a single coupling.
+        """Box of a single coupling.
 
         One exact phase period for the Bell-diagonal kinds (see _BELL_KINDS).
-        full_pauli has no exact period; a symmetric box is used.
+        full_pauli has no exact period; its symmetric box only seeds the
+        couplings of random restarts.
         """
         if self.kind in _BELL_KINDS:
             return (0.0, _BELL_KINDS[self.kind][0])
@@ -619,51 +627,6 @@ class _SweepState:
         return replace(self.start, couplings=self.couplings, phi_i=self.phi_i, **stacks)
 
 
-def _golden_min(f, lo: float, hi: float, evals: int = 24) -> float:
-    """Coarse grid + golden-section + 3 Newton polish steps on [lo, hi]."""
-    xs = np.linspace(lo, hi, evals, endpoint=False)
-    vals = [f(x) for x in xs]
-    best = int(np.argmin(vals))
-    step = (hi - lo) / evals
-    a = xs[best] - step
-    b = xs[best] + step
-    # Golden-section shrink; invphi ~ 0.618.
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(40):
-        if b - a < 1e-11 * max(1.0, abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    fx = min(fc, fd)
-    # Newton polish on the smooth 1-D cost.
-    h = 1e-6
-    for _ in range(3):
-        fp = f(x + h)
-        fm = f(x - h)
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * fx + fm) / (h * h)
-        if not np.isfinite(d2) or d2 <= 1e-18:
-            break
-        delta = np.clip(-d1 / d2, -step, step)
-        cand = x + delta
-        fcand = f(cand)
-        if fcand < fx:
-            x, fx = cand, fcand
-        else:
-            break
-    return float(x)
-
-
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 
 
@@ -687,7 +650,7 @@ def _coupling_argmax(coef, period: float) -> float:
         e2 = c2 * np.exp(2j * ph)
         d1 = -2.0 * e1.imag - 4.0 * e2.imag
         d2 = -2.0 * e1.real - 8.0 * e2.real
-        if d2 >= -1e-18:
+        if d2 >= -ARGMAX_CURVATURE_ATOL:
             break
         ph -= d1 / d2
     return float((ph % (2.0 * np.pi)) * period / (2.0 * np.pi))
@@ -743,10 +706,12 @@ def _fold_tails(st: _SweepState) -> list:
 def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
     """Optimize the enabled factors of step i (0-based) in chain order against fixed environments.
 
-    Each update is a closed-form ascent step (a Procrustes solution for a
-    local, an accepted-only line search for the couplings; a fixed gate is
-    left alone), so the cost history stays non-increasing.  Every evaluation
-    goes through the step map, built once.
+    Each update is a closed-form ascent step, so the cost history stays
+    non-increasing: a Bell-diagonal core takes the exact argmax of each
+    coupling, every other free factor (a local, or the full_pauli core, whose
+    couplings are then read off its principal logarithm) the Procrustes
+    solution with phi_f frozen.  A fixed gate is left alone.  Every
+    evaluation goes through the step map, built once.
     """
     kmat = _step_map(l_env, st.at[i], t_env, st.inits[i])
     chain = _step_factors(st, i)
@@ -757,7 +722,10 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
             continue
         kf = _factor_map(chain, j, kmat)
         if slot == "core":
-            _search_couplings(st.model, st.couplings[i], kf)
+            if st.model.kind in _BELL_KINDS:
+                _search_couplings(st.model, st.couplings[i], kf)
+            else:
+                st.couplings[i] = _log_couplings(procrustes_unitary(_frozen_env(kf, v)))
             chain[j] = (slot, st.model.entangler(st.couplings[i]))
         else:
             env = _frozen_env(kf, v).reshape(st.d, 2, st.d, 2)
@@ -772,29 +740,20 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
 
 
 def _search_couplings(model: GeneratorModel, params: np.ndarray, kcore: np.ndarray) -> None:
-    """Line-search each coupling of a core C with v = kcore @ C.ravel(), updating params in place.
+    """Set each coupling of a Bell-diagonal core C with v = kcore @ C.ravel() to its exact argmax.
 
-    Bell-diagonal couplings take the exact argmax of their harmonics,
-    full_pauli ones a golden-section search; a candidate is accepted only if
-    |v|^2 does not drop there, so the cost stays non-increasing.
+    params is updated in place, one coupling at a time; a candidate is
+    accepted only if |v|^2 does not drop there, so the cost stays
+    non-increasing.
     """
-    lo, hi = model.coupling_interval()
+    period = _BELL_KINDS[model.kind][0]
     for m in range(model.param_count):
-        if model.kind in _BELL_KINDS:
-            coef = _coupling_harmonics(model, params, m, kcore)
+        coef = _coupling_harmonics(model, params, m, kcore)
 
-            def overlap2(theta):
-                return _harmonic_sum(coef, 2.0 * np.pi * theta / (hi - lo))
+        def overlap2(theta):
+            return _harmonic_sum(coef, 2.0 * np.pi * theta / period)
 
-            cand = _coupling_argmax(coef, hi - lo)
-        else:
-
-            def overlap2(theta):
-                trial = params.copy()
-                trial[m] = theta
-                return np.linalg.norm(kcore @ model.entangler(trial).ravel()) ** 2
-
-            cand = _golden_min(lambda theta: -overlap2(theta), lo, hi)
+        cand = _coupling_argmax(coef, period)
         if overlap2(cand) >= overlap2(params[m]):
             params[m] = cand
 
@@ -818,6 +777,13 @@ def _unitary_power(delta: np.ndarray, beta: float) -> np.ndarray:
     tmat, z = schur(delta)
     phases = np.exp(1j * beta * np.angle(np.diagonal(tmat)))
     return (z * phases) @ z.conj().T
+
+
+def _log_couplings(u: np.ndarray) -> np.ndarray:
+    """full_pauli couplings c with entangler(c) = u, from the principal logarithm of unitary u."""
+    tmat, z = schur(u)
+    # u = exp(log u) = exp(-i h) for the Hermitian h = i log u = -z diag(angles) z^dag.
+    return pauli_coefficients(-(z * np.angle(np.diagonal(tmat))) @ z.conj().T).ravel()
 
 
 def _snapshot(st: _SweepState):
@@ -953,11 +919,12 @@ def optimize(
 ) -> tuple[Protocol, FidelityReport]:
     """Coordinate-sweep optimization of a protocol against a target MPS.
 
-    Sweeps step 1..n..1; per step, enabled local unitaries get Procrustes
-    updates and scalar couplings a bounded line search (see module
-    docstring).  cfg.restarts independent runs are performed (the first from
-    p0 itself, the rest from seeded random points) and the best final
-    fidelity wins.  Returns the optimized protocol and its report.
+    Sweeps step 1..n..1; per step, enabled local unitaries and a full_pauli
+    core get Procrustes updates and Bell-diagonal couplings their exact
+    argmax (see module docstring).  cfg.restarts independent runs are
+    performed (the first from p0 itself, the rest from seeded random points)
+    and the best final fidelity wins.  Returns the optimized protocol and its
+    report.
     """
     if cfg is None:
         cfg = default_config()

@@ -44,6 +44,7 @@ SEQGEN_TOL = 1e-12            # |delta cost| over a full sweep
 SEQGEN_MAX_SWEEPS = 500
 SEQGEN_RESTARTS = 5
 GOOD_ENOUGH_COST = 1e-10      # skip remaining restarts once cost is below this
+ARGMAX_CURVATURE_ATOL = 1e-18  # a coupling's Newton refinement stops at curvature >= -this
 
 # Checks of the CLI commands (a failed one makes the command exit 1).
 CHECK_SLACK = 1e-12           # roundoff allowed when comparing 1-F or errors between rows

@@ -52,10 +52,11 @@ def test_compress_truncation_method(tmp_path):
     assert abs(float(row["fidelity"]) - 2.0 ** (-0.5)) < 1e-12
 
 
-def test_generate_json_document(tmp_path):
+@pytest.mark.parametrize("model", ["xy", "full_pauli"])
+def test_generate_json_document(tmp_path, model):
     code, out = run_to_file(
         tmp_path, "g.json",
-        ["--command", "generate", "--target", "w", "--n", "4", "--model", "xy",
+        ["--command", "generate", "--target", "w", "--n", "4", "--model", model,
          "--variant", "couplings_plus_ancilla", "--restarts", "3"],
     )
     assert code == 0

@@ -473,6 +473,44 @@ def test_optimized_ancilla_rotation_is_procrustes_optimal(all_locals_optimum, fi
         assert seqmps.fidelity(trial, target).fidelity <= report.fidelity + 1e-10
 
 
+@pytest.fixture(scope="module")
+def full_pauli_optimum():
+    # Bond 4 is out of reach of a 2-level ancilla, so the optimum is a
+    # genuine one (1-F ~ 8e-3).
+    target = seqmps.random_mps(4, 4, seed=3)
+    p0 = seqmps.make_protocol(GeneratorModel("full_pauli"), 4)
+    p, report = seqmps.optimize(p0, target, seqmps.default_config())
+    assert report.one_minus_f > 1e-4
+    return target, p, report
+
+
+def test_optimized_full_pauli_core_is_procrustes_optimal(full_pauli_optimum):
+    # At convergence no replacement of step 2's core, Haar random or a small
+    # move exp(-i eps h) away from it, increases the fidelity.
+    target, p, report = full_pauli_optimum
+    core = p.model.entangler(p.couplings[1])
+    rng = np.random.default_rng(124)
+    trials = [seqmps.haar_unitary(4, rng) for _ in range(1000)]
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+        for _ in range(25):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            trials.append(seqmps.expm_hermitian(a + a.conj().T, eps) @ core)
+    for u in trials:
+        couplings = p.couplings.copy()
+        couplings[1] = oracles.pauli_log_couplings(u)
+        trial = dataclasses.replace(p, couplings=couplings)
+        assert seqmps.fidelity(trial, target).fidelity <= report.fidelity + 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_optimize_full_pauli_qutrit_ancilla_reaches_bond_two_targets(seed):
+    # A 3-level ancilla reaches these bond-2 targets exactly; the core's
+    # Procrustes update finds them within the default restarts.
+    p0 = seqmps.make_protocol(GeneratorModel("full_pauli", 3), 3, with_ancilla=True)
+    _, report = seqmps.optimize(p0, seqmps.random_mps(3, 2, seed=seed), seqmps.default_config())
+    assert report.one_minus_f < 1e-10
+
+
 def test_optimize_gauge_invariant_fidelity():
     # The optimum depends only on the physical ray of the target, not on
     # its tensor-network presentation.
@@ -593,6 +631,16 @@ def test_step_map_matches_its_definition(d, bonds, seed):
     phi = v / np.linalg.norm(v)
     for x in (u, w):
         assert abs(np.trace(x @ env).real - (phi.conj() @ kmat @ x.ravel()).real) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=SEEDS)
+def test_log_couplings_reproduce_the_unitary(d, seed):
+    u = seqmps.haar_unitary(2 * d, np.random.default_rng(seed))
+    couplings = seqgen._log_couplings(u)
+    assert np.abs(GeneratorModel("full_pauli", d).entangler(couplings) - u).max() <= 1e-12
+    if d == 2:
+        assert np.abs(couplings - oracles.pauli_log_couplings(u)).max() <= 1e-10
 
 
 BELL_COUPLINGS = st.sampled_from([("xy", 0), ("xxz", 0), ("xxz", 1), ("ion_xy", 0)])
