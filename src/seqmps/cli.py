@@ -134,7 +134,8 @@ def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
     of that variant.  full_local starts from |0> since its qubit
     pre-rotations unfreeze every step.  ion_xy pair-creation protocols
     excite the last step's qubit (the final step can then erase the
-    leftover ancilla excitation).
+    leftover ancilla excitation).  A full_pauli core spans all of U(2d) and
+    absorbs U^A x 1, so full_pauli leaves the ancilla stack off.
     """
     d = model.d_ancilla
     qubit_inits = np.zeros((n, 2), dtype=complex)
@@ -152,7 +153,7 @@ def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
         n,
         qubit_inits=qubit_inits,
         phi_i=phi_i,
-        with_ancilla=variant in ("couplings_plus_ancilla", "full_local"),
+        with_ancilla=model.kind != "full_pauli" and variant != "couplings_only",
         with_qubit_pre=variant == "full_local",
         with_qubit_post=variant == "full_local",
     )

@@ -33,10 +33,12 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_matrix(a, name: str, stacked: bool = False) -> np.ndarray:
+    """Complex 2-D array with finite entries; stacked also admits leading stack axes."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise InvalidInputError(f"{name} must be a 2-D array, got shape {a.shape}")
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
+        what = "a 2-D array or a stack of them" if stacked else "a 2-D array"
+        raise InvalidInputError(f"{name} must be {what}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
@@ -63,10 +65,12 @@ class SvdResult:
 def svd(a) -> SvdResult:
     """Economy singular value decomposition of a rectangular complex matrix.
 
-    Raises InvalidInputError for non-finite or non-2-D input and
-    NumericalFailureError if the LAPACK kernel does not converge.
+    A stack of matrices along leading axes is factored matrix by matrix,
+    and the factors are stacked alike.  Raises InvalidInputError for
+    non-finite input or fewer than two axes, and NumericalFailureError if
+    the LAPACK kernel does not converge.
     """
-    a = _as_matrix(a, "a")
+    a = _as_matrix(a, "a", stacked=True)
     try:
         u, s, vdag = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -118,8 +122,8 @@ def eigh_lowest(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"h must be square, got shape {h.shape}")
     # Imported on first use: scipy.linalg adds about 25 MB and 0.3 s or more
-    # to the package import, and only the XXZ targets and the geodesic
-    # extrapolation of seqgen need it.
+    # to the package import, and only the XXZ targets and the full_pauli
+    # couplings (the logarithm through schur) need it.
     import scipy.linalg
 
     try:
@@ -154,14 +158,16 @@ def procrustes_unitary(env) -> np.ndarray:
     """Unitary u maximizing Re tr(u @ env) over the full unitary group.
 
     If svd(env^dag) = (u, s, vdag) the maximizer is u @ vdag and the attained
-    maximum is sum(s).  env must be square; a zero env yields an arbitrary
+    maximum is sum(s); so procrustes_unitary(a^dag) is the unitary polar
+    factor of a.  env must be square, or a stack of square matrices along
+    leading axes, each solved on its own.  A zero env yields an arbitrary
     (but deterministic) unitary, which is consistent with the objective being
     constant in that case.
     """
-    env = _as_matrix(env, "env")
-    if env.shape[0] != env.shape[1]:
+    env = _as_matrix(env, "env", stacked=True)
+    if env.shape[-1] != env.shape[-2]:
         raise InvalidInputError(f"env must be square, got shape {env.shape}")
-    f = svd(env.conj().T)
+    f = svd(env.conj().swapaxes(-1, -2))
     return f.u @ f.vdag
 
 

@@ -43,7 +43,8 @@ all of U(2d): it takes the Procrustes update of its whole map, and its
 couplings are read off the principal logarithm of the result.  After every
 full sweep a safeguarded geodesic extrapolation (kept only when it lowers the
 cost) jumps along the slow near-linear mode that plain coordinate sweeps
-crawl down.
+crawl down; it takes integer powers of each local's last move by projected
+squaring, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -264,9 +265,17 @@ def build_step_unitary(
 _TRACE = {"ua": "aibi->ab", "ub_pre": "ajai->ji", "ub_post": "ajai->ji"}
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """Read-only real dim x dim identity."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def _embed(slot: str, local: np.ndarray, d: int) -> np.ndarray:
     """A local unitary as a factor on ancilla x qubit: kron(local, 1) or kron(1, local)."""
-    a, b = (local, np.eye(2)) if slot == "ua" else (np.eye(d), local)
+    a, b = (local, _identity(2)) if slot == "ua" else (_identity(d), local)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(2 * d, 2 * d)
 
 
@@ -772,13 +781,6 @@ def _update_phi_i(st: _SweepState) -> None:
     st.history.append(2.0 * (1.0 - min(float(sing[0]), FIDELITY_CLAMP)))
 
 
-def _unitary_power(delta: np.ndarray, beta: float) -> np.ndarray:
-    """delta**beta for unitary delta (principal branch), exactly unitary."""
-    tmat, z = schur(delta)
-    phases = np.exp(1j * beta * np.angle(np.diagonal(tmat)))
-    return (z * phases) @ z.conj().T
-
-
 def _log_couplings(u: np.ndarray) -> np.ndarray:
     """full_pauli couplings c with entangler(c) = u, from the principal logarithm of unitary u."""
     tmat, z = schur(u)
@@ -791,33 +793,20 @@ def _snapshot(st: _SweepState):
     return tuple(None if s is None else s.copy() for s in (*st._locals.values(), st.couplings))
 
 
-def _load_snapshot(st: _SweepState, snap) -> None:
+def _load_snapshot(st: _SweepState, snap, sites=None) -> None:
+    """Set the parameters to snap, and the sites to a copy of sites or, without them, a rebuild."""
     for s, saved in zip((*st._locals.values(), st.couplings), snap):
         if saved is not None:
             s[:] = saved
-    for i in range(st.n):
-        st.v_sites[i] = _step_isometry(_product(_step_factors(st, i)), st.inits[i], st.d)
+    if sites is None:
+        steps = (_product(_step_factors(st, i)) for i in range(st.n))
+        sites = [_step_isometry(u, init, st.d) for u, init in zip(steps, st.inits)]
+    st.v_sites[:] = sites
 
 
-def _extrapolated(st: _SweepState, prev, cur, beta: float):
-    """Geodesic extrapolation cur + beta * (cur - prev) of all parameters."""
-    out = [
-        None if c_stack is None
-        else np.stack([c @ _unitary_power(p.conj().T @ c, beta) for p, c in zip(p_stack, c_stack)])
-        for p_stack, c_stack in zip(prev[:3], cur[:3])
-    ]
-    if cur[3] is None:
-        out.append(None)
-    else:
-        step = cur[3] - prev[3]
-        if st.model.kind == "full_pauli":
-            out.append(cur[3] + beta * step)
-        else:
-            lo, hi = st.model.coupling_interval()
-            width = hi - lo
-            step = (step + width / 2.0) % width - width / 2.0
-            out.append(lo + (cur[3] + beta * step - lo) % width)
-    return tuple(out)
+def _projected_square(u):
+    """Polar factor of u @ u (procrustes_unitary of its adjoint) for a unitary stack u or None."""
+    return None if u is None else procrustes_unitary((u @ u).conj().swapaxes(1, 2))
 
 
 def _current_cost(st: _SweepState) -> float:
@@ -825,39 +814,49 @@ def _current_cost(st: _SweepState) -> float:
     return 2.0 * (1.0 - min(float(np.linalg.norm(v)), FIDELITY_CLAMP))
 
 
-_EXTRAP_BETA_MAX = 256.0
+_EXTRAP_BETAS = tuple(2.0**k for k in range(9))  # 1, 2, 4, ..., 256
 _EXTRAP_MEMORY = 9
 
 
 def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
     """Safeguarded extrapolation through recent parameter moves.
 
-    Tries cur + beta * (cur - base) along unitary geodesics with doubling
-    beta, for two secant baselines: the previous sweep and the oldest
-    retained snapshot (the longer baseline averages out the sweep-to-sweep
-    zigzag and points down the slow valley).  Only candidates that strictly
-    lower the cost are kept, so the recorded history stays non-increasing.
+    Tries cur + beta * (cur - base) for doubling beta from two secant
+    baselines, the previous sweep and the oldest retained snapshot (the longer
+    one averages out the sweep-to-sweep zigzag and points down the slow
+    valley), up to the first candidate that does not lower the cost, so the
+    history stays non-increasing.  Locals move along unitary geodesics,
+    c delta^beta with delta = base^dag c: beta is an integer, so delta is
+    squared once per doubling and projected back onto the unitary group (off
+    it, roundoff makes a cost read low).  Couplings move linearly, across the
+    period for the Bell-diagonal kinds.  The closing load copies kept sites.
     """
     cur = _snapshot(st)
-    best_cost, best_snap = cost, None
-    bases = (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0])
-    for base in bases:
-        beta = 1.0
-        while beta <= _EXTRAP_BETA_MAX:
-            cand = _extrapolated(st, base, cur, beta)
+    best = (cost, cur, list(st.v_sites))
+    for base in (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0]):
+        pairs = zip(base[:3], cur[:3])
+        powers = [None if c is None else b.conj().swapaxes(1, 2) @ c for b, c in pairs]
+        step = None if cur[3] is None else cur[3] - base[3]
+        wrap = step is not None and st.model.kind in _BELL_KINDS
+        if wrap:
+            lo, hi = st.model.coupling_interval()
+            width = hi - lo
+            step = (step + width / 2.0) % width - width / 2.0
+        for beta in _EXTRAP_BETAS:
+            if beta > 1.0:
+                powers = [_projected_square(p) for p in powers]
+            couplings = None if step is None else cur[3] + beta * step
+            couplings = lo + (couplings - lo) % width if wrap else couplings
+            cand = (*(None if c is None else c @ p for c, p in zip(cur[:3], powers)), couplings)
             _load_snapshot(st, cand)
-            c = _current_cost(st)
-            if c < best_cost:
-                best_cost, best_snap = c, cand
-                beta *= 2.0
-            else:
+            trial = _current_cost(st)
+            if not trial < best[0]:
                 break
-    if best_snap is None:
-        _load_snapshot(st, cur)
-        return cost
-    _load_snapshot(st, best_snap)
-    st.history.append(best_cost)
-    return best_cost
+            best = (trial, cand, list(st.v_sites))
+    _load_snapshot(st, *best[1:])
+    if best[1] is not cur:
+        st.history.append(best[0])
+    return best[0]
 
 
 def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:

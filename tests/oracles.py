@@ -183,6 +183,12 @@ def pauli_log_couplings(u) -> np.ndarray:
     return c.reshape(-1)
 
 
+def unitary_power(delta, beta: float) -> np.ndarray:
+    """delta**beta for a unitary delta, through its complex Schur form (principal branch)."""
+    t, z = scipy.linalg.schur(np.asarray(delta, dtype=complex), output="complex")
+    return (z * np.exp(1j * beta * np.angle(np.diagonal(t)))) @ z.conj().T
+
+
 def _complete_columns(cols: np.ndarray, positions: list[int], dim: int) -> np.ndarray:
     """Unitary whose listed columns are `cols`, completed via a null space."""
     u = np.zeros((dim, dim), dtype=complex)

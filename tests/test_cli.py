@@ -73,6 +73,19 @@ def test_generate_json_document(tmp_path, model):
     assert abs(report.fidelity - row["fidelity"]) < 1e-12
 
 
+def test_full_pauli_generate_leaves_the_ancilla_stack_off(tmp_path):
+    # The full_pauli core spans U(2d), so a U^A x 1 factor would only repeat it.
+    code, out = run_to_file(
+        tmp_path, "g.json",
+        ["--command", "generate", "--target", "w", "--n", "4", "--model", "full_pauli",
+         "--variant", "couplings_plus_ancilla", "--restarts", "3"],
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["protocol"]["local_ancilla"] is None
+    assert doc["rows"][0]["one_minus_f"] < 1e-6
+
+
 def test_generate_is_deterministic(tmp_path):
     argv = ["--command", "generate", "--target", "random", "--n", "3",
             "--variant", "full_local", "--seed", "11", "--restarts", "2"]
@@ -160,8 +173,8 @@ def test_invalid_input_exits_2(tmp_path, capsys):
 
 
 COMPRESS_XXZ = ["--command", "compress", "--target", "xxz", "--n", "6", "--dprime", "2"]
-CNOT_TEST = ["--command", "cnot-test", "--n", "2", "--count", "1", "--restarts", "1",
-             "--max-sweeps", "2"]
+FULL_PAULI_GENERATE = ["--command", "generate", "--model", "full_pauli", "--n", "3",
+                       "--restarts", "1", "--max-sweeps", "2"]
 
 
 @pytest.mark.parametrize(
@@ -170,7 +183,7 @@ CNOT_TEST = ["--command", "cnot-test", "--n", "2", "--count", "1", "--restarts",
         (np.linalg, "qr", COMPRESS_XXZ),
         (np.linalg, "svd", COMPRESS_XXZ),
         (scipy.linalg, "eigh", COMPRESS_XXZ),  # the XXZ target's ground state
-        (scipy.linalg, "schur", CNOT_TEST),  # the geodesic extrapolation
+        (scipy.linalg, "schur", FULL_PAULI_GENERATE),  # the couplings' logarithm
     ],
     ids=["qr", "svd", "eigh", "schur"],
 )

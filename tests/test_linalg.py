@@ -77,6 +77,18 @@ def test_procrustes_requires_square():
         seqmps.procrustes_unitary(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(5, 3, 3), (2, 4, 2, 2)])
+def test_procrustes_solves_a_stack_matrix_by_matrix(shape):
+    env = random_complex(shape, 11)
+    u = seqmps.procrustes_unitary(env)
+    each = [seqmps.procrustes_unitary(e) for e in env.reshape(-1, *shape[-2:])]
+    assert np.array_equal(u, np.reshape(each, shape))
+    with pytest.raises(InvalidInputError):
+        seqmps.procrustes_unitary(np.ones((3, 2, 3)))
+    with pytest.raises(InvalidInputError):
+        seqmps.procrustes_unitary(np.full(shape, np.nan))
+
+
 def test_haar_unitary_is_deterministic_and_unitary():
     a = seqmps.haar_unitary(4, np.random.default_rng(42))
     b = seqmps.haar_unitary(4, np.random.default_rng(42))

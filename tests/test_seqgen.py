@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,6 +584,33 @@ def test_optimize_respects_restart_budget():
     assert early.restarts_used <= 4
 
 
+# Runs an xy optimize and a CNOT optimize, then reports whether scipy.linalg was imported.
+XY_AND_CNOT = """
+import sys
+import seqmps
+from seqmps import CNOT, GeneratorModel, default_config, make_protocol, optimize, random_mps
+
+xy = make_protocol(GeneratorModel("xy"), 3, phi_i=[0.0, 1.0], with_ancilla=True)
+optimize(xy, random_mps(3, 2, seed=1), default_config(max_sweeps=8, restarts=2))
+cnot = make_protocol(GeneratorModel("xy"), 2, with_ancilla=True, with_qubit_pre=True,
+                     with_qubit_post=True, fixed_gate=CNOT)
+optimize(cnot, random_mps(2, 2, seed=2), default_config(max_sweeps=8, restarts=2))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_xy_and_cnot_optimization_do_not_import_scipy_linalg():
+    # scipy.linalg is imported on first use and costs set-up time and memory;
+    # the extrapolation's powers and polar factors need only numpy.
+    src = str(Path(seqmps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", XY_AND_CNOT], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_default_config_values():
     cfg = seqmps.default_config()
     assert cfg.restarts == 5
@@ -641,6 +672,35 @@ def test_log_couplings_reproduce_the_unitary(d, seed):
     assert np.abs(GeneratorModel("full_pauli", d).entangler(couplings) - u).max() <= 1e-12
     if d == 2:
         assert np.abs(couplings - oracles.pauli_log_couplings(u)).max() <= 1e-10
+
+
+# Squaring a power doubles its error and adds a few roundoffs of a d x d
+# matmul and SVD (d <= 3), so the 2^k-th power is off by at most beta times a
+# small multiple of eps; so is the Schur reference, whose eigenphases are
+# multiplied by beta.  The worst of 3000 seeded draws was 11.3 beta eps.
+POWER_ATOL_PER_BETA = 32.0 * np.finfo(float).eps
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    near=st.sampled_from([None, 1.0, -1.0]),
+    spread=st.sampled_from([1e-12, 1e-7, 1e-3]),
+    seed=SEEDS,
+)
+def test_projected_squares_are_the_integer_powers(d, near, spread, seed):
+    rng = np.random.default_rng(seed)
+    delta = seqmps.haar_unitary(d, rng)
+    if near is not None:
+        # Eigenphases within spread of 0 (near = 1) or of pi (near = -1).
+        delta = near * (delta * np.exp(1j * spread * rng.standard_normal(d))) @ delta.conj().T
+    power = delta[None]
+    for k in range(9):
+        beta = 2.0**k
+        err = np.abs(power[0] - oracles.unitary_power(delta, beta)).max()
+        assert err <= beta * POWER_ATOL_PER_BETA
+        assert np.abs(power[0].conj().T @ power[0] - np.eye(d)).max() <= 1e-13
+        power = seqgen._projected_square(power)
 
 
 BELL_COUPLINGS = st.sampled_from([("xy", 0), ("xxz", 0), ("xxz", 1), ("ion_xy", 0)])
@@ -735,6 +795,33 @@ def test_kept_environments_equal_a_fresh_fold(monkeypatch):
     _, report = seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
     assert report.sweeps == KEEP_CFG.max_sweeps
     assert walks == [True, False] * report.sweeps
+    assert any(accepted) and not all(accepted)
+
+
+def test_extrapolation_restores_or_rebuilds_the_sites(monkeypatch):
+    extrapolate = seqgen._extrapolate_sweep
+    accepted = []
+
+    def state(st):
+        arrays = [*(s for s in st._locals.values() if s is not None), st.couplings, *st.v_sites]
+        return [a.tobytes() for a in arrays]
+
+    def checked(st, snaps, cost):
+        before = state(st)
+        out = extrapolate(st, snaps, cost)
+        accepted.append(out < cost)
+        if out < cost:
+            for i in range(st.n):
+                fresh = seqgen._step_isometry(
+                    seqgen._product(seqgen._step_factors(st, i)), st.inits[i], st.d
+                )
+                assert fresh.tobytes() == st.v_sites[i].tobytes()
+        else:
+            assert state(st) == before
+        return out
+
+    monkeypatch.setattr(seqgen, "_extrapolate_sweep", checked)
+    seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
     assert any(accepted) and not all(accepted)
 
 
