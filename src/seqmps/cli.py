@@ -72,12 +72,13 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """CSV of the rows, with the first row's keys as the header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(list(rows[0]))
     for row in rows:
-        writer.writerow([_fmt_cell(row[c]) for c in columns])
+        writer.writerow([_fmt_cell(x) for x in row.values()])
     return buf.getvalue()
 
 
@@ -135,7 +136,8 @@ def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
     pre-rotations unfreeze every step.  ion_xy pair-creation protocols
     excite the last step's qubit (the final step can then erase the
     leftover ancilla excitation).  A full_pauli core spans all of U(2d) and
-    absorbs U^A x 1, so full_pauli leaves the ancilla stack off.
+    absorbs U^A x 1 and 1 x U^B alike, so full_pauli has no local stack
+    under any variant.
     """
     d = model.d_ancilla
     qubit_inits = np.zeros((n, 2), dtype=complex)
@@ -148,18 +150,19 @@ def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
         phi_i[1] = 1.0
     else:
         phi_i[0] = 1.0
+    local = model.kind != "full_pauli"
     return make_protocol(
         model,
         n,
         qubit_inits=qubit_inits,
         phi_i=phi_i,
-        with_ancilla=model.kind != "full_pauli" and variant != "couplings_only",
-        with_qubit_pre=variant == "full_local",
-        with_qubit_post=variant == "full_local",
+        with_ancilla=local and variant != "couplings_only",
+        with_qubit_pre=local and variant == "full_local",
+        with_qubit_post=local and variant == "full_local",
     )
 
 
-def cmd_compress(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
+def cmd_compress(args, failures: list) -> tuple[list[dict], dict | None]:
     target = _target_from_args(args)
     d_prime = args.dprime if args.dprime is not None else max(1, target.max_bond // 2)
     if args.method == "truncation":
@@ -168,7 +171,6 @@ def cmd_compress(args, failures: list) -> tuple[list[str], list[dict], dict | No
         cfg = OptimizationConfig(
             tol=args.tol if args.tol is not None else COMPRESS_TOL,
             max_sweeps=args.max_sweeps if args.max_sweeps is not None else COMPRESS_MAX_SWEEPS,
-            restarts=args.restarts if args.restarts is not None else 1,
             seed=args.seed,
         )
         _, report = compress_variational(target, d_prime, cfg)
@@ -181,7 +183,7 @@ def cmd_compress(args, failures: list) -> tuple[list[str], list[dict], dict | No
         "sweeps": report.sweeps,
         "converged": report.converged,
     }
-    return ["state", "method", "d_prime", "error", "fidelity", "sweeps", "converged"], [row], None
+    return [row], None
 
 
 def _seqgen_config(args, default_restarts: int) -> OptimizationConfig:
@@ -196,15 +198,12 @@ def _seqgen_config(args, default_restarts: int) -> OptimizationConfig:
     )
 
 
-def cmd_generate(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
+def cmd_generate(args, failures: list) -> tuple[list[dict], dict | None]:
     target = _target_from_args(args)
     model = GeneratorModel(args.model)
     p0 = _initial_protocol(model, args.n, args.variant)
     cfg = _seqgen_config(args, SEQGEN_RESTARTS)
-    if args.variant == "full_local" and model.kind == "xy":
-        p_opt, report = optimize_full_local(p0, target, cfg)
-    else:
-        p_opt, report = optimize(p0, target, cfg)
+    p_opt, report = optimize(p0, target, cfg)
     row = {
         "target": args.target,
         "n": args.n,
@@ -217,21 +216,10 @@ def cmd_generate(args, failures: list) -> tuple[list[str], list[dict], dict | No
         "restarts_used": report.restarts_used,
     }
     summary = {"report": report.to_json_dict(), "protocol": json.loads(p_opt.to_json())}
-    columns = [
-        "target",
-        "n",
-        "model",
-        "variant",
-        "one_minus_f",
-        "fidelity",
-        "sweeps",
-        "converged",
-        "restarts_used",
-    ]
-    return columns, [row], summary
+    return [row], summary
 
 
-def cmd_fig1(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
+def cmd_fig1(args, failures: list) -> tuple[list[dict], dict | None]:
     n = args.n if args.n is not None else 10
     bond = args.bond if args.bond is not None else 16
     cfg = OptimizationConfig(
@@ -288,10 +276,10 @@ def cmd_fig1(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
                         "detail": {"state": state_name, "method": method, "error": errors[(state_name, method, bond)]},
                     }
                 )
-    return ["state", "method", "d_prime", "error", "fidelity"], rows, None
+    return rows, None
 
 
-def cmd_fig3(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
+def cmd_fig3(args, failures: list) -> tuple[list[dict], dict | None]:
     n_max = args.n if args.n is not None else 8
     if n_max < 2:
         raise SeqmpsError("fig3 needs --n >= 2")
@@ -342,10 +330,10 @@ def cmd_fig3(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
                         },
                     }
                 )
-    return ["n", "variant", "one_minus_f", "sweeps", "restarts"], rows, None
+    return rows, None
 
 
-def cmd_random_suite(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
+def cmd_random_suite(args, failures: list) -> tuple[list[dict], dict | None]:
     n_max = args.n if args.n is not None else 5
     count = _suite_count(args)
     cfg = _seqgen_config(args, SEQGEN_RESTARTS)
@@ -379,10 +367,10 @@ def cmd_random_suite(args, failures: list) -> tuple[list[str], list[dict], dict 
         "threshold": threshold,
         "count_per_n": count,
     }
-    return ["seed", "n", "one_minus_f", "restarts_used"], rows, summary
+    return rows, summary
 
 
-def cmd_cnot_test(args, failures: list) -> tuple[list[str], list[dict], dict | None]:
+def cmd_cnot_test(args, failures: list) -> tuple[list[dict], dict | None]:
     n = args.n if args.n is not None else 4
     count = _suite_count(args)
     cfg = _seqgen_config(args, 10)
@@ -433,7 +421,7 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[str], list[dict], dict | N
         "min_one_minus_f": min(r["one_minus_f"] for r in rows),
         "product_state_one_minus_f": product_report.one_minus_f,
     }
-    return ["seed", "n", "one_minus_f"], rows, summary
+    return rows, summary
 
 
 COMMANDS = {
@@ -483,7 +471,7 @@ def main(argv=None) -> int:
 
     failures: list[dict] = []
     try:
-        columns, rows, summary = handler(args, failures)
+        rows, summary = handler(args, failures)
     except SeqmpsError as exc:
         doc = {
             "schema": SCHEMA,
@@ -496,7 +484,7 @@ def main(argv=None) -> int:
         return 2
 
     if fmt == "csv":
-        _write_output(_csv_text(columns, rows), args.out)
+        _write_output(_csv_text(rows), args.out)
         if summary is not None and args.out is not None:
             with open(args.out + ".summary.json", "w") as fh:
                 json.dump({"schema": SCHEMA, "command": args.command, "summary": summary}, fh, indent=2)

@@ -28,9 +28,6 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-# Raising/lowering combinations (sigma_1 +- i sigma_2) / 2.
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def _as_matrix(a, name: str, stacked: bool = False) -> np.ndarray:
@@ -70,13 +67,17 @@ def svd(a) -> SvdResult:
     non-finite input or fewer than two axes, and NumericalFailureError if
     the LAPACK kernel does not converge.
     """
-    a = _as_matrix(a, "a", stacked=True)
+    u, s, vdag = _lapack_svd(_as_matrix(a, "a", stacked=True))
+    return SvdResult(u=u, s=s, vdag=vdag)
+
+
+def _lapack_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's economy SVD of a validated (stack of) matrices, with the error contract."""
     try:
-        u, s, vdag = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         # LAPACK does not expose its iteration count; forward its diagnostic.
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(u=u, s=s, vdag=vdag)
 
 
 def qr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +168,8 @@ def procrustes_unitary(env) -> np.ndarray:
     env = _as_matrix(env, "env", stacked=True)
     if env.shape[-1] != env.shape[-2]:
         raise InvalidInputError(f"env must be square, got shape {env.shape}")
-    f = svd(env.conj().swapaxes(-1, -2))
-    return f.u @ f.vdag
+    u, _, vdag = _lapack_svd(env.conj().swapaxes(-1, -2))
+    return u @ vdag
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

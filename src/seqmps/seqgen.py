@@ -20,31 +20,31 @@ best final ancilla measurement/rotation is phi_f = v / ||v|| and the cost of
 the protocol is 2 (1 - F), the squared distance between the joint state and
 (best phi_f) x target.
 
-The optimizer sweeps step by step.  Each step is held as an ordered factor
-chain [(slot, 2d x 2d matrix)] with slots ua (U^A x 1), ub_pre
-(1 x U^{B_I}), core (the entangler or fixed gate) and ub_post
-(1 x U^{B_F}); absent locals are left out, and the chain is multiplied out
-from the right.  The factors are updated one at a time, in chain order,
-against their environment (Evenbly & Vidal, PRB 79, 144108 (2009)).  The
-ancilla vector of a step is linear in its unitary, v = K vec(U), and the map
-K (d x 4d^2) is built once per step from the two environments, the target
-site and the qubit init; folding the other factors into K gives the same
-kind of map for each factor.  With phi_f frozen at its current optimum the
-objective is Re(phi_f^dag v).  A local factor takes the unitary Procrustes
-solution of its map contracted with phi_f and partial-traced over its
-identity part; re-eliminating phi_f afterwards can only help, so every
-update weakly increases F (alternating ascent).  For the Bell-diagonal
-generators each scalar coupling of the core is solved exactly: v(theta) is a
-sum of Bell eigenphases times fixed vectors, so |v|^2 is a trigonometric
+The optimizer sweeps step by step.  Its free parameters form one record
+keyed by chain slot: unitary stacks for ua (U^A x 1), ub_pre (1 x U^{B_I}),
+ub_post (1 x U^{B_F}) and a full_pauli core, or the couplings of a
+Bell-diagonal core; absent locals and a fixed gate are left out.  A step is
+an ordered factor chain [(slot, 2d x 2d matrix)], multiplied out from the
+right, whose factors are updated one at a time against their environment
+(Evenbly & Vidal, PRB 79, 144108 (2009)).  The ancilla vector of a step is
+linear in its unitary, v = K vec(U), and the map K (d x 4d^2) is built once
+per step from the two environments, the target site and the qubit init;
+folding the other factors into K gives the same kind of map for each factor.
+With phi_f frozen at its current optimum the objective is Re(phi_f^dag v).
+A unitary slot takes the Procrustes solution of its map contracted with
+phi_f and partial-traced over the identity part of its factor (none for the
+core: the full_pauli terms B_j x sigma_k span all Hermitian 2d x 2d
+matrices, so the core ranges over all of U(2d)); re-eliminating phi_f
+afterwards can only help, so every update weakly increases F (alternating
+ascent).  Each Bell-diagonal coupling is solved exactly: v(theta) is a sum
+of Bell eigenphases times fixed vectors, so |v|^2 is a trigonometric
 polynomial with harmonics {0, 1, 2} over the coupling period whose
-coefficients are sums of entries of their Gram matrix.  The full_pauli terms
-B_j x sigma_k span all Hermitian 2d x 2d matrices, so its core ranges over
-all of U(2d): it takes the Procrustes update of its whole map, and its
-couplings are read off the principal logarithm of the result.  After every
-full sweep a safeguarded geodesic extrapolation (kept only when it lowers the
-cost) jumps along the slow near-linear mode that plain coordinate sweeps
-crawl down; it takes integer powers of each local's last move by projected
-squaring, with no eigendecomposition.
+coefficients are sums of entries of their Gram matrix.  The full_pauli
+couplings are read off the core's principal logarithm once, at the end.
+After every full sweep a safeguarded geodesic extrapolation (kept only when
+it lowers the cost) jumps along the slow near-linear mode that plain
+coordinate sweeps crawl down; it takes integer powers of each unitary slot's
+last move by projected squaring, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -259,10 +259,10 @@ def build_step_unitary(
     return _product(_factors(core, ua, ub_pre, ub_post))
 
 
-# Partial trace that turns a local factor's environment, reshaped to
+# Partial trace that turns a unitary slot's environment, reshaped to
 # (d, 2, d, 2), into its Procrustes input: over the qubit for U^A x 1, over
-# the ancilla for 1 x U^B.
-_TRACE = {"ua": "aibi->ab", "ub_pre": "ajai->ji", "ub_post": "ajai->ji"}
+# the ancilla for 1 x U^B, and over nothing for the core.
+_TRACE = {"ua": "aibi->ab", "ub_pre": "ajai->ji", "core": "aibj->aibj", "ub_post": "ajai->ji"}
 
 
 @functools.cache
@@ -273,9 +273,11 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
-def _embed(slot: str, local: np.ndarray, d: int) -> np.ndarray:
-    """A local unitary as a factor on ancilla x qubit: kron(local, 1) or kron(1, local)."""
-    a, b = (local, _identity(2)) if slot == "ua" else (_identity(d), local)
+def _embed(slot: str, factor: np.ndarray, d: int) -> np.ndarray:
+    """A slot's unitary on ancilla x qubit: kron(ua, 1), the core itself, or kron(1, ub)."""
+    if slot == "core":
+        return factor
+    a, b = (factor, _identity(2)) if slot == "ua" else (_identity(d), factor)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(2 * d, 2 * d)
 
 
@@ -287,17 +289,28 @@ def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
     """
     d = core.shape[0] // 2
     slots = {"ua": ua, "ub_pre": ub_pre, "core": core, "ub_post": ub_post}
-    return [
-        (slot, f if slot == "core" else _embed(slot, f, d))
-        for slot, f in slots.items()
-        if f is not None
-    ]
+    return [(slot, _embed(slot, f, d)) for slot, f in slots.items() if f is not None]
 
 
-def _step_factors(p, i: int) -> list:
-    """Factor chain of step i (0-based) of a Protocol or a _SweepState."""
-    core = p.fixed_gate if p.couplings is None else p.model.entangler(p.couplings[i])
-    return _factors(core, **{slot: None if s is None else s[i] for slot, s in p._locals.items()})
+def _step_chain(p, params: dict, i: int) -> list:
+    """Factor chain of step i (0-based) of a Protocol or _SweepState with free parameters params.
+
+    The core is params["core"][i], the entangler of params["couplings"][i], or the fixed gate.
+    """
+    if "core" in params:
+        core = params["core"][i]
+    elif "couplings" in params:
+        core = p.model.entangler(params["couplings"][i])
+    else:
+        core = p.fixed_gate
+    return _factors(core, **{slot: params[slot][i] for slot in _LOCAL_FIELDS if slot in params})
+
+
+def _sites(p, params: dict) -> list:
+    """Site tensors of every step of a Protocol or _SweepState with free parameters params."""
+    d = p.model.d_ancilla
+    chains = (_step_chain(p, params, i) for i in range(p.n))
+    return [_step_isometry(_product(c), init, d) for c, init in zip(chains, p.qubit_inits)]
 
 
 def _product(chain: list) -> np.ndarray:
@@ -425,13 +438,15 @@ class Protocol:
             object.__setattr__(self, name, stack)
 
     @property
-    def _locals(self) -> dict:
-        """Local unitary stacks by chain slot, None where absent."""
-        return {slot: getattr(self, name) for slot, name in _LOCAL_FIELDS.items()}
+    def _params(self) -> dict:
+        """Free parameters by slot: present local stacks, and couplings unless the gate is fixed."""
+        params = {slot: getattr(self, name) for slot, name in _LOCAL_FIELDS.items()}
+        params["couplings"] = self.couplings
+        return {key: a for key, a in params.items() if a is not None}
 
     def step_unitary(self, k: int) -> np.ndarray:
         """Full unitary of step k (1-based)."""
-        return _product(_step_factors(self, k - 1))
+        return _product(_step_chain(self, self._params, k - 1))
 
     def step_isometry(self, k: int) -> np.ndarray:
         """Site tensor of step k: V^i[a, b] = sum_j U[(a i), (b j)] init_j."""
@@ -516,8 +531,7 @@ def simulate(p: Protocol) -> Mps:
     ancilla state, and the final ancilla index is left open (phi_f = None);
     the joint state always has norm 1.
     """
-    tensors = [p.step_isometry(k) for k in range(1, p.n + 1)]
-    return Mps(tensors, p.phi_i, None, GAUGE_LEFT)
+    return Mps(_sites(p, p._params), p.phi_i, None, GAUGE_LEFT)
 
 
 @dataclass(frozen=True)
@@ -579,8 +593,7 @@ def fidelity_vector(p: Protocol, target: Mps) -> np.ndarray:
     if target.n != p.n:
         raise InvalidInputError(f"target has {target.n} sites, protocol has {p.n}")
     a_tensors, a_phi_i, a_phi_f = _target_arrays(target)
-    sites = [p.step_isometry(k) for k in range(1, p.n + 1)]
-    return _fold_up(np.outer(p.phi_i, a_phi_i.conj()), sites, a_tensors) @ a_phi_f
+    return _fold_up(np.outer(p.phi_i, a_phi_i.conj()), _sites(p, p._params), a_tensors) @ a_phi_f
 
 
 def fidelity(p: Protocol, target: Mps) -> FidelityReport:
@@ -604,7 +617,7 @@ def _basis_vec(d: int) -> np.ndarray:
 
 
 class _SweepState:
-    """Mutable working copy of a protocol during optimization."""
+    """Mutable working copy of a protocol; params keeps a full_pauli core as its unitary stack."""
 
     def __init__(self, p: Protocol, target: Mps):
         self.start = p
@@ -612,12 +625,14 @@ class _SweepState:
         self.d = p.model.d_ancilla
         self.n = p.n
         self.fixed_gate = p.fixed_gate
-        self.couplings = None if p.couplings is None else p.couplings.copy()
-        self._locals = {slot: None if s is None else s.copy() for slot, s in p._locals.items()}
-        self.inits = p.qubit_inits.copy()
+        self.params = {key: a.copy() for key, a in p._params.items()}
+        if "couplings" in self.params and self.model.kind not in _BELL_KINDS:
+            couplings = self.params.pop("couplings")
+            self.params["core"] = np.stack([self.model.entangler(c) for c in couplings])
+        self.qubit_inits = p.qubit_inits
         self.phi_i = p.phi_i.copy()
         self.at, self.at_phi_i, self.at_phi_f = _target_arrays(target)
-        self.v_sites = [p.step_isometry(k) for k in range(1, self.n + 1)]
+        self.v_sites = _sites(self, self.params)
         self.history: list[float] = []
 
     def left_seed(self) -> np.ndarray:
@@ -628,12 +643,17 @@ class _SweepState:
         tm[np.arange(self.d), np.arange(self.d), :] = self.at_phi_f[None, :]
         return tm
 
-    def current_v(self) -> np.ndarray:
-        return _fold_up(self.left_seed(), self.v_sites, self.at) @ self.at_phi_f
+    def cost(self, sites: list) -> float:
+        """2 (1 - F) of the given sites, with the current phi_i."""
+        v = _fold_up(self.left_seed(), sites, self.at) @ self.at_phi_f
+        return 2.0 * (1.0 - min(float(np.linalg.norm(v)), FIDELITY_CLAMP))
 
     def to_protocol(self) -> Protocol:
-        stacks = {name: self._locals[slot] for slot, name in _LOCAL_FIELDS.items()}
-        return replace(self.start, couplings=self.couplings, phi_i=self.phi_i, **stacks)
+        couplings = self.params.get("couplings")
+        if "core" in self.params:
+            couplings = np.array([_log_couplings(u) for u in self.params["core"]])
+        stacks = {name: self.params.get(slot) for slot, name in _LOCAL_FIELDS.items()}
+        return replace(self.start, couplings=couplings, phi_i=self.phi_i, **stacks)
 
 
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
@@ -713,38 +733,34 @@ def _fold_tails(st: _SweepState) -> list:
 
 
 def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
-    """Optimize the enabled factors of step i (0-based) in chain order against fixed environments.
+    """Optimize the free factors of step i (0-based) in chain order against fixed environments.
 
     Each update is a closed-form ascent step, so the cost history stays
-    non-increasing: a Bell-diagonal core takes the exact argmax of each
-    coupling, every other free factor (a local, or the full_pauli core, whose
-    couplings are then read off its principal logarithm) the Procrustes
-    solution with phi_f frozen.  A fixed gate is left alone.  Every
-    evaluation goes through the step map, built once.
+    non-increasing: Bell couplings take their exact argmax, and every unitary
+    slot, the full_pauli core included, the Procrustes solution of its
+    partial-traced environment with phi_f frozen.  A fixed gate is left
+    alone.  Every evaluation goes through the step map, built once.
     """
-    kmat = _step_map(l_env, st.at[i], t_env, st.inits[i])
-    chain = _step_factors(st, i)
+    kmat = _step_map(l_env, st.at[i], t_env, st.qubit_inits[i])
+    chain = _step_chain(st, st.params, i)
     u = _product(chain)
     v = kmat @ u.ravel()
     for j, (slot, _) in enumerate(chain):
-        if slot == "core" and st.couplings is None:
+        if slot == "core" and st.fixed_gate is not None:
             continue
         kf = _factor_map(chain, j, kmat)
-        if slot == "core":
-            if st.model.kind in _BELL_KINDS:
-                _search_couplings(st.model, st.couplings[i], kf)
-            else:
-                st.couplings[i] = _log_couplings(procrustes_unitary(_frozen_env(kf, v)))
-            chain[j] = (slot, st.model.entangler(st.couplings[i]))
+        if slot == "core" and "couplings" in st.params:
+            _search_couplings(st.model, st.params["couplings"][i], kf)
+            chain[j] = (slot, st.model.entangler(st.params["couplings"][i]))
         else:
-            env = _frozen_env(kf, v).reshape(st.d, 2, st.d, 2)
-            local = procrustes_unitary(np.einsum(_TRACE[slot], env))
-            st._locals[slot][i] = local
-            chain[j] = (slot, _embed(slot, local, st.d))
+            env = np.einsum(_TRACE[slot], _frozen_env(kf, v).reshape(st.d, 2, st.d, 2))
+            factor = procrustes_unitary(env.reshape(st.params[slot].shape[1:]))
+            st.params[slot][i] = factor
+            chain[j] = (slot, _embed(slot, factor, st.d))
         u = _product(chain)
         v = kmat @ u.ravel()
         st.history.append(2.0 * (1.0 - min(np.linalg.norm(v), FIDELITY_CLAMP)))
-    st.v_sites[i] = _step_isometry(u, st.inits[i], st.d)
+    st.v_sites[i] = _step_isometry(u, st.qubit_inits[i], st.d)
     return st.history[-1]
 
 
@@ -788,30 +804,13 @@ def _log_couplings(u: np.ndarray) -> np.ndarray:
     return pauli_coefficients(-(z * np.angle(np.diagonal(tmat))) @ z.conj().T).ravel()
 
 
-def _snapshot(st: _SweepState):
-    # (ua, ub_pre, ub_post, couplings)
-    return tuple(None if s is None else s.copy() for s in (*st._locals.values(), st.couplings))
+def _snapshot(st: _SweepState) -> dict:
+    return {key: a.copy() for key, a in st.params.items()}
 
 
-def _load_snapshot(st: _SweepState, snap, sites=None) -> None:
-    """Set the parameters to snap, and the sites to a copy of sites or, without them, a rebuild."""
-    for s, saved in zip((*st._locals.values(), st.couplings), snap):
-        if saved is not None:
-            s[:] = saved
-    if sites is None:
-        steps = (_product(_step_factors(st, i)) for i in range(st.n))
-        sites = [_step_isometry(u, init, st.d) for u, init in zip(steps, st.inits)]
-    st.v_sites[:] = sites
-
-
-def _projected_square(u):
-    """Polar factor of u @ u (procrustes_unitary of its adjoint) for a unitary stack u or None."""
-    return None if u is None else procrustes_unitary((u @ u).conj().swapaxes(1, 2))
-
-
-def _current_cost(st: _SweepState) -> float:
-    v = st.current_v()
-    return 2.0 * (1.0 - min(float(np.linalg.norm(v)), FIDELITY_CLAMP))
+def _projected_square(u: np.ndarray) -> np.ndarray:
+    """Polar factor of u @ u (procrustes_unitary of its adjoint) for a unitary stack u."""
+    return procrustes_unitary((u @ u).conj().swapaxes(1, 2))
 
 
 _EXTRAP_BETAS = tuple(2.0**k for k in range(9))  # 1, 2, 4, ..., 256
@@ -825,43 +824,41 @@ def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
     baselines, the previous sweep and the oldest retained snapshot (the longer
     one averages out the sweep-to-sweep zigzag and points down the slow
     valley), up to the first candidate that does not lower the cost, so the
-    history stays non-increasing.  Locals move along unitary geodesics,
-    c delta^beta with delta = base^dag c: beta is an integer, so delta is
-    squared once per doubling and projected back onto the unitary group (off
-    it, roundoff makes a cost read low).  Couplings move linearly, across the
-    period for the Bell-diagonal kinds.  The closing load copies kept sites.
+    history stays non-increasing.  Every unitary slot moves along its
+    geodesic, c delta^beta with delta = base^dag c: beta is an integer, so
+    delta is squared once per doubling and projected back onto the unitary
+    group (off it, roundoff makes a cost read low).  Bell couplings move
+    linearly, across their period.  Candidates are scored from their own
+    sites; the state is written once, from the best candidate, if any.
     """
-    cur = _snapshot(st)
-    best = (cost, cur, list(st.v_sites))
+    cur = st.params
+    best = (cost, None, None)
     for base in (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0]):
-        pairs = zip(base[:3], cur[:3])
-        powers = [None if c is None else b.conj().swapaxes(1, 2) @ c for b, c in pairs]
-        step = None if cur[3] is None else cur[3] - base[3]
-        wrap = step is not None and st.model.kind in _BELL_KINDS
-        if wrap:
+        powers = {k: base[k].conj().swapaxes(1, 2) @ c for k, c in cur.items() if k != "couplings"}
+        if "couplings" in cur:
             lo, hi = st.model.coupling_interval()
             width = hi - lo
-            step = (step + width / 2.0) % width - width / 2.0
+            step = (cur["couplings"] - base["couplings"] + width / 2.0) % width - width / 2.0
         for beta in _EXTRAP_BETAS:
             if beta > 1.0:
-                powers = [_projected_square(p) for p in powers]
-            couplings = None if step is None else cur[3] + beta * step
-            couplings = lo + (couplings - lo) % width if wrap else couplings
-            cand = (*(None if c is None else c @ p for c, p in zip(cur[:3], powers)), couplings)
-            _load_snapshot(st, cand)
-            trial = _current_cost(st)
+                powers = {k: _projected_square(p) for k, p in powers.items()}
+            cand = {k: cur[k] @ p for k, p in powers.items()}
+            if "couplings" in cur:
+                cand["couplings"] = lo + (cur["couplings"] + beta * step - lo) % width
+            sites = _sites(st, cand)
+            trial = st.cost(sites)
             if not trial < best[0]:
                 break
-            best = (trial, cand, list(st.v_sites))
-    _load_snapshot(st, *best[1:])
-    if best[1] is not cur:
+            best = (trial, cand, sites)
+    if best[1] is not None:
+        st.params, st.v_sites = best[1:]
         st.history.append(best[0])
     return best[0]
 
 
 def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
     """Alternate up/down half-sweeps until the cost stalls."""
-    st.history.append(_current_cost(st))
+    st.history.append(st.cost(st.v_sites))
     prev = st.history[-1]
     sweeps = 0
     converged = False

@@ -73,16 +73,18 @@ def test_generate_json_document(tmp_path, model):
     assert abs(report.fidelity - row["fidelity"]) < 1e-12
 
 
-def test_full_pauli_generate_leaves_the_ancilla_stack_off(tmp_path):
-    # The full_pauli core spans U(2d), so a U^A x 1 factor would only repeat it.
+@pytest.mark.parametrize("variant", ["couplings_plus_ancilla", "full_local"])
+def test_full_pauli_generate_has_no_local_stack(tmp_path, variant):
+    # The full_pauli core spans U(2d), so a U^A x 1 or 1 x U^B factor would only repeat it.
     code, out = run_to_file(
         tmp_path, "g.json",
         ["--command", "generate", "--target", "w", "--n", "4", "--model", "full_pauli",
-         "--variant", "couplings_plus_ancilla", "--restarts", "3"],
+         "--variant", variant, "--restarts", "3"],
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["summary"]["protocol"]["local_ancilla"] is None
+    for field in ("local_ancilla", "local_qubit_pre", "local_qubit_post"):
+        assert doc["summary"]["protocol"][field] is None
     assert doc["rows"][0]["one_minus_f"] < 1e-6
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import seqmps
-from seqmps import InvalidInputError
+from seqmps import InvalidInputError, NumericalFailureError
 
 from oracles import PAULI
 
@@ -70,6 +70,15 @@ def test_procrustes_beats_random_unitaries():
     for _ in range(1000):
         trial = seqmps.haar_unitary(4, rng)
         assert np.trace(trial @ env).real <= attained + 1e-10
+
+
+def test_procrustes_lapack_failure_is_a_numerical_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected svd failure")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalFailureError):
+        seqmps.procrustes_unitary(random_complex((3, 3), 4))
 
 
 def test_procrustes_requires_square():

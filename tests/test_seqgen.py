@@ -803,7 +803,7 @@ def test_extrapolation_restores_or_rebuilds_the_sites(monkeypatch):
     accepted = []
 
     def state(st):
-        arrays = [*(s for s in st._locals.values() if s is not None), st.couplings, *st.v_sites]
+        arrays = [*st.params.values(), *st.v_sites]
         return [a.tobytes() for a in arrays]
 
     def checked(st, snaps, cost):
@@ -811,11 +811,8 @@ def test_extrapolation_restores_or_rebuilds_the_sites(monkeypatch):
         out = extrapolate(st, snaps, cost)
         accepted.append(out < cost)
         if out < cost:
-            for i in range(st.n):
-                fresh = seqgen._step_isometry(
-                    seqgen._product(seqgen._step_factors(st, i)), st.inits[i], st.d
-                )
-                assert fresh.tobytes() == st.v_sites[i].tobytes()
+            for fresh, site in zip(seqgen._sites(st, st.params), st.v_sites, strict=True):
+                assert fresh.tobytes() == site.tobytes()
         else:
             assert state(st) == before
         return out
