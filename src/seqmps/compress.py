@@ -129,9 +129,9 @@ def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionRepo
     XXZ ground states (whose Schmidt values come in equal pairs), which of
     the tied values survive depends on roundoff, and the choice made at one
     cut changes what the later cuts see.  The error is then roundoff-
-    sensitive far beyond machine precision: moving phi_i = -1 of
-    xxz_ground(12, 1.0) by one ulp moves the d_prime = 2 error from 0.30638
-    to 0.30825 (up) or 0.31036 (down).
+    sensitive far beyond machine precision: moving phi_i = 1 of
+    xxz_ground(12, 1.0) by one ulp moves the d_prime = 2 error from 0.30659
+    to 0.30657 (up) or 0.30640 (down).
     """
     _check_target(target)
     trial = truncate_per_matrix(target, d_prime)

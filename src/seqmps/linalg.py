@@ -4,12 +4,12 @@ Every other module funnels its matrix work through the operations here:
 singular value and QR decompositions, Hermitian eigendecomposition, the
 Hermitian matrix exponential exp(-i * scale * h), the complex Schur form, and
 the closed-form unitary Procrustes update.  The heavy lifting is delegated to
-LAPACK via numpy.linalg and scipy.linalg; this module owns input validation,
-the error contract (a LAPACK failure becomes NumericalFailureError), and the
-conventions (descending singular values, ascending eigenvalues).
+LAPACK via numpy.linalg; only schur needs scipy.linalg, which it imports on
+first use.  This module owns input validation, the error contract (a LAPACK
+failure becomes NumericalFailureError), and the conventions (descending
+singular values, ascending eigenvalues).
 
-All functions return fresh arrays and treat their inputs as read-only, except
-eigh_lowest, which overwrites its input to save a copy of a large matrix.
+All functions return fresh arrays and treat their inputs as read-only.
 """
 
 from __future__ import annotations
@@ -115,22 +115,17 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 def eigh_lowest(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The count lowest eigenpairs of a real symmetric matrix, ascending.
 
-    Only the requested pairs are computed, and h is overwritten: this is the
-    route for large dense Hamiltonians, so it makes no complex copy and no
-    Hermiticity check (callers build h symmetric).  A LAPACK failure raises
-    NumericalFailureError.
+    Fewer pairs when h has fewer rows.  numpy.linalg.eigh factors h as given
+    and leaves it untouched: no complex copy, no Hermiticity check (callers
+    build h symmetric).  A LAPACK failure raises NumericalFailureError.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"h must be square, got shape {h.shape}")
-    # Imported on first use: scipy.linalg adds about 25 MB and 0.3 s or more
-    # to the package import, and only the XXZ targets and the full_pauli
-    # couplings (the logarithm through schur) need it.
-    import scipy.linalg
-
     try:
-        return scipy.linalg.eigh(h, subset_by_index=(0, count - 1), overwrite_a=True)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigh did not converge: {exc}") from exc
+    return w[:count], v[:, :count]
 
 
 def schur(a) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +135,9 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     Errors as for svd: InvalidInputError for bad input, NumericalFailureError from LAPACK.
     """
     a = _as_matrix(a, "a")
-    import scipy.linalg  # on first use, see eigh_lowest
+    # Imported on first use: scipy.linalg adds about 25 MB and 0.3 s or more
+    # to the package import, and only the full_pauli couplings need it.
+    import scipy.linalg
 
     try:
         return scipy.linalg.schur(a, output="complex")

@@ -2,14 +2,15 @@
 
 GHZ, W and cluster states are written down with closed-form bond-2 site
 tensors and then canonicalized; random states draw complex Gaussian tensors
-from a seeded generator; XXZ ground states come from a dense symmetric
-eigensolve of the open-boundary chain
+from a seeded generator; XXZ ground states are exact ground states of the
+open-boundary chain
 
     H = sum_k  sigma1_k sigma1_{k+1} + sigma2_k sigma2_{k+1}
              + delta * sigma3_k sigma3_{k+1}
 
 in the Pauli (not spin-1/2) convention, so the n = 2, delta = 1 ground state
-is the singlet at energy -3.
+is the singlet at energy -3.  H conserves total Sz, so xxz_ground_vector
+diagonalizes it one block of fixed one-bit count at a time.
 """
 
 from __future__ import annotations
@@ -65,22 +66,25 @@ def make_target(spec: TargetSpec) -> Mps:
     return xxz_ground(spec.n, spec.delta, max_bond=spec.bond)
 
 
-def _finish(tensors, phi_i) -> Mps:
-    m = Mps(tensors, phi_i, np.ones(1, dtype=complex))
+def _finish(tensors) -> Mps:
+    m = Mps(tensors, [1.0], np.ones(1, dtype=complex))
     return normalize(canonicalize_left(m))
+
+
+def _chain(mid: np.ndarray, left, right, n: int) -> Mps:
+    """mid at every site, the end sites closed by the bond vectors left and right."""
+    first = mid @ np.reshape(right, (2, 1))
+    last = np.reshape(left, (1, 2)) @ mid
+    return _finish([first] + [mid] * (n - 2) + [last])
 
 
 def ghz_state(n: int) -> Mps:
     """(|0...0> + |1...1>) / sqrt(2) with bond dimension 2."""
     if n < 2:
         raise InvalidInputError("ghz needs n >= 2")
-    first = np.zeros((2, 2, 1), dtype=complex)
-    first[0, 0, 0] = first[1, 1, 0] = 1.0
     mid = np.zeros((2, 2, 2), dtype=complex)
     mid[0, 0, 0] = mid[1, 1, 1] = 1.0  # bond carries the branch label
-    last = np.zeros((2, 1, 2), dtype=complex)
-    last[0, 0, 0] = last[1, 0, 1] = 1.0
-    return _finish([first] + [mid] * (n - 2) + [last], [1.0])
+    return _chain(mid, [1.0, 1.0], [1.0, 1.0], n)
 
 
 def w_state(n: int) -> Mps:
@@ -88,14 +92,10 @@ def w_state(n: int) -> Mps:
     if n < 2:
         raise InvalidInputError("w needs n >= 2")
     # Bond value 1 = "the single excitation has been placed".
-    first = np.zeros((2, 2, 1), dtype=complex)
-    first[0, 0, 0] = first[1, 1, 0] = 1.0
     mid = np.zeros((2, 2, 2), dtype=complex)
     mid[0] = np.eye(2)
     mid[1, 1, 0] = 1.0
-    last = np.zeros((2, 1, 2), dtype=complex)
-    last[0, 0, 1] = last[1, 0, 0] = 1.0
-    return _finish([first] + [mid] * (n - 2) + [last], [1.0])
+    return _chain(mid, [0.0, 1.0], [1.0, 0.0], n)
 
 
 def cluster_state(n: int) -> Mps:
@@ -103,17 +103,11 @@ def cluster_state(n: int) -> Mps:
     if n < 2:
         raise InvalidInputError("cluster needs n >= 2")
     # Bond carries the previous qubit's bit; amplitude (-1)^(sum s_k s_{k+1}).
-    first = np.zeros((2, 2, 1), dtype=complex)
-    first[0, 0, 0] = first[1, 1, 0] = 1.0
     mid = np.zeros((2, 2, 2), dtype=complex)
     for s in (0, 1):
         for prev in (0, 1):
             mid[s, s, prev] = (-1.0) ** (s * prev)
-    last = np.zeros((2, 1, 2), dtype=complex)
-    for s in (0, 1):
-        for prev in (0, 1):
-            last[s, 0, prev] = (-1.0) ** (s * prev)
-    return _finish([first] + [mid] * (n - 2) + [last], [1.0])
+    return _chain(mid, [1.0, 1.0], [1.0, 0.0], n)
 
 
 def random_mps(n: int, bond: int, seed: int) -> Mps:
@@ -134,51 +128,60 @@ def random_mps(n: int, bond: int, seed: int) -> Mps:
         shape = (2, dims[k], dims[k - 1])
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         tensors.append(t)
-    return _finish(tensors, [1.0])
+    return _finish(tensors)
 
 
-def xxz_dense_hamiltonian(n: int, delta: float) -> np.ndarray:
-    """Dense open-boundary XXZ chain Hamiltonian (real symmetric)."""
+def _one_bits(n: int) -> np.ndarray:
+    """Number of one-bits of every state-vector index 0 .. 2**n - 1."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
+def xxz_dense_hamiltonian(n: int, delta: float, ones: int | None = None) -> np.ndarray:
+    """Open-boundary XXZ chain Hamiltonian (real symmetric), built from bit patterns.
+
+    ones = k gives the block over the basis states with k one-bits, in
+    ascending index order; ones=None gives the full 2**n matrix.  The
+    diagonal is delta * sum_k z_k z_{k+1} (z = +1 for bit 0, -1 for bit 1),
+    and every 01 <-> 10 neighbour flip has amplitude 2.
+    """
     if n < 2:
         raise InvalidInputError("xxz needs n >= 2")
     if n > MAX_XXZ_QUBITS:
         raise CapacityError(f"n = {n} exceeds the XXZ cap of {MAX_XXZ_QUBITS}")
-    dim = 2**n
-    h = np.zeros((dim, dim))
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    isy = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i * sigma2, real
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    for k in range(1, n):
-        # Pair (k, k+1); site k occupies bit k-1 of the state-vector index.
-        pair = np.kron(sx, sx) - np.kron(isy, isy) + delta * np.kron(sz, sz)
-        dl = 2 ** (n - k - 1)
-        dr = 2 ** (k - 1)
-        # Add pair on the diagonal of the spectator indices without
-        # materializing dim x dim kron products (n = 14 would not fit in RAM).
-        hv = h.reshape(dl, 4, dr, dl, 4, dr)
-        il = np.arange(dl)[:, None]
-        ir = np.arange(dr)[None, :]
-        hv[il, :, ir, il, :, ir] += pair
+    states = np.arange(2**n) if ones is None else np.flatnonzero(_one_bits(n) == ones)
+    z = 1 - 2 * ((states[:, None] >> np.arange(n)) & 1)  # site k is bit k - 1
+    h = np.diag((z[:, :-1] * z[:, 1:]).sum(axis=1) * float(delta))
+    for k in range(n - 1):
+        rows = np.flatnonzero(z[:, k] != z[:, k + 1])
+        h[rows, np.searchsorted(states, states[rows] ^ (3 << k))] = 2.0
     return h
 
 
 def xxz_ground_vector(n: int, delta: float) -> np.ndarray:
-    """Dense ground-state vector of the XXZ chain.
+    """Ground-state vector of the XXZ chain, from its blocks of k one-bits.
 
-    Uses a direct dense symmetric eigensolve restricted to the lowest two
-    eigenpairs; warns and tie-breaks to the lowest-index eigenvector when the
-    ground state is (numerically) degenerate.
+    The bit flip maps block k onto block n - k, so only k = 0 .. n // 2 are
+    solved.  The lowest eigenvector of the block with the lowest ground
+    energy is embedded; ties within DEGENERACY_GAP go to fewer one-bits, so
+    odd chains at delta > -1 give the state with (n - 1) / 2 one-bits and
+    delta < -1 gives |0...0>.  Warns when the two lowest of the pooled two
+    lowest eigenvalues of the solved blocks lie within DEGENERACY_GAP: a
+    degeneracy in a block or a tie between blocks (as at delta = -1), never
+    the bit-flip partner alone.
     """
-    h = xxz_dense_hamiltonian(n, delta)
-    vals, vecs = eigh_lowest(h, 2)
-    gap = vals[1] - vals[0]
-    if gap < DEGENERACY_GAP * max(1.0, abs(vals[0])):
-        warnings.warn(
-            f"xxz ground state is degenerate within {DEGENERACY_GAP:g} "
-            f"(gap {gap:.3e}); taking the lowest-index eigenvector",
-            stacklevel=2,
-        )
-    return vecs[:, 0].astype(complex)
+    lows, best = [], None
+    for ones in range(n // 2 + 1):
+        vals, vecs = eigh_lowest(xxz_dense_hamiltonian(n, delta, ones), 2)
+        lows.extend(vals)
+        if best is None or vals[0] < best[0] - DEGENERACY_GAP * max(1.0, abs(best[0])):
+            best = (vals[0], ones, vecs[:, 0])
+    e0, e1 = sorted(lows)[:2]
+    if e1 - e0 < DEGENERACY_GAP * max(1.0, abs(e0)):
+        msg = f"xxz ground state is degenerate (gap {e1 - e0:.3e}); taking {best[1]} one-bits"
+        warnings.warn(msg, stacklevel=2)
+    vec = np.zeros(2**n, dtype=complex)
+    vec[_one_bits(n) == best[1]] = best[2]
+    return vec
 
 
 def xxz_ground(n: int, delta: float, max_bond: int | None = None) -> Mps:

@@ -184,7 +184,7 @@ FULL_PAULI_GENERATE = ["--command", "generate", "--model", "full_pauli", "--n", 
     [
         (np.linalg, "qr", COMPRESS_XXZ),
         (np.linalg, "svd", COMPRESS_XXZ),
-        (scipy.linalg, "eigh", COMPRESS_XXZ),  # the XXZ target's ground state
+        (np.linalg, "eigh", COMPRESS_XXZ),  # the XXZ target's sector blocks
         (scipy.linalg, "schur", FULL_PAULI_GENERATE),  # the couplings' logarithm
     ],
     ids=["qr", "svd", "eigh", "schur"],

@@ -1,5 +1,10 @@
 """Compression routines against dense distances and brute-force optima."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,3 +216,24 @@ def test_each_walk_folds_each_passed_site_once(monkeypatch):
     n = target.n
     # One fold of the sites above site 1 at the start, then n - 1 per half-sweep.
     assert len(calls) == (n - 1) + 2 * (n - 1) * report.sweeps
+
+
+# Compresses an exact XXZ ground state, then reports whether scipy was imported.
+XXZ_COMPRESSION = """
+import sys
+import seqmps
+seqmps.compress_variational(seqmps.xxz_ground(8, 1.0), 2)
+print("scipy" in sys.modules)
+"""
+
+
+def test_xxz_compression_does_not_import_scipy():
+    # scipy costs set-up time and memory; the sector eigensolves and the
+    # sweeps need only numpy.
+    src = str(Path(seqmps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", XXZ_COMPRESSION], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,12 @@
 """Target state factories against explicit dense constructions."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqmps
 from seqmps import CapacityError, InvalidInputError, TargetSpec
@@ -103,18 +107,87 @@ def test_xxz_ground_matches_independent_eigensolve(n, delta):
     assert abs(abs(np.vdot(vecs[:, 0], psi)) - 1.0) < 1e-8
 
 
-def test_xxz_ground_warns_on_odd_chain_degeneracy():
-    # Odd chains carry a spin doublet; the tie-break must warn and still
-    # return a vector inside the degenerate ground space.
-    with pytest.warns(UserWarning, match="degenerate"):
+def one_bits(n):
+    return np.array([bin(i).count("1") for i in range(2**n)])
+
+
+def test_xxz_ground_odd_chain_takes_the_fewer_ones_sector():
+    # Odd chains carry a spin doublet split by the bit flip between the
+    # sectors with two and three one-bits; the documented state is the one
+    # with two, and the flip alone is no reason to warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = seqmps.xxz_ground_vector(5, 0.4)
         m = seqmps.xxz_ground(5, 0.4)
+    assert np.all(vec[one_bits(5) != 2] == 0.0)
     h = dense_xxz_hamiltonian(5, 0.4)
     vals, vecs = scipy.linalg.eigh(h)
     psi = dense_of(m)
+    assert np.abs(psi[one_bits(5) != 2]).max() < 1e-12
     energy = np.vdot(psi, h @ psi).real
     assert abs(energy - vals[0]) < 1e-8
     weight = sum(abs(np.vdot(vecs[:, j], psi)) ** 2 for j in range(2))
     assert abs(weight - 1.0) < 1e-8
+
+
+def test_xxz_ground_warns_on_a_tie_between_sectors():
+    # At delta = -1 the ground multiplet spans every sector; the tie must
+    # warn and go to the sector with fewer one-bits, |0000>.
+    with pytest.warns(UserWarning, match="degenerate"):
+        m = seqmps.xxz_ground(4, -1.0)
+    h = dense_xxz_hamiltonian(4, -1.0)
+    vals = scipy.linalg.eigvalsh(h)
+    psi = dense_of(m)
+    energy = np.vdot(psi, h @ psi).real
+    assert abs(energy - vals[0]) < 1e-8
+    assert abs(abs(psi[0]) - 1.0) < 1e-12
+
+
+def test_xxz_ground_warns_on_a_degeneracy_inside_a_sector(monkeypatch):
+    # The open chain has no such degeneracy at these parameters, so the
+    # two-site sector's eigensolver is made to report one.
+    solve = seqmps.states.eigh_lowest
+
+    def tied(h, count):
+        vals, vecs = solve(h, count)
+        if h.shape == (6, 6):
+            vals[1] = vals[0]
+        return vals, vecs
+
+    monkeypatch.setattr(seqmps.states, "eigh_lowest", tied)
+    with pytest.warns(UserWarning, match="degenerate"):
+        vec = seqmps.xxz_ground_vector(4, 1.0)
+    assert np.all(vec[one_bits(4) != 2] == 0.0)
+
+
+XXZ_CHAINS = dict(n=st.integers(2, 8), delta=st.floats(-2.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(**XXZ_CHAINS)
+def test_xxz_sector_blocks_are_the_oracle_blocks(n, delta):
+    h = dense_xxz_hamiltonian(n, delta)
+    ones = one_bits(n)
+    assert np.all(h[ones[:, None] != ones[None, :]] == 0.0)
+    for k in range(n + 1):
+        idx = np.flatnonzero(ones == k)
+        block = seqmps.xxz_dense_hamiltonian(n, delta, ones=k)
+        assert block.shape == (idx.size, idx.size)
+        assert np.abs(block - h[np.ix_(idx, idx)]).max(initial=0.0) < 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(**XXZ_CHAINS)
+def test_xxz_ground_vector_is_a_lowest_eigenvector_in_one_sector(n, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ties between sectors warn, e.g. at delta = -1
+        vec = seqmps.xxz_ground_vector(n, delta)
+    h = dense_xxz_hamiltonian(n, delta)
+    e0 = scipy.linalg.eigvalsh(h)[0]
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    assert abs(np.vdot(vec, h @ vec).real - e0) <= 1e-9 * max(1.0, abs(e0))
+    sectors = np.unique(one_bits(n)[vec != 0.0])
+    assert sectors.size == 1 and 2 * sectors[0] <= n
 
 
 def test_xxz_ground_bond_cap():
