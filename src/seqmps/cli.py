@@ -28,48 +28,36 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .compress import compress_truncation, compress_variational
+from .compress import METHOD_TRUNCATION, METHODS, compress_truncation, compress_variational
 from .config import OptimizationConfig
 from .errors import InvalidInputError, SeqmpsError
 from .mps import Mps, from_state_vector, normalize
 from .seqgen import (
     CNOT,
+    MODEL_KINDS,
     GeneratorModel,
     Protocol,
     default_config,
-    fidelity,
     make_protocol,
     optimize,
-    optimize_full_local,
-    simulate,
 )
 from .serialize import SCHEMA, fmt17
 from .states import KINDS, TargetSpec, make_target
 from .tolerances import (
     CHECK_SLACK,
     CNOT_FAILURE_1MF,
-    COMPRESS_MAX_SWEEPS,
-    COMPRESS_TOL,
     COUPLINGS_ONLY_FACTOR,
     FULL_BOND_ERROR,
     PRODUCT_SOLVED_1MF,
     REACHED_1MF,
     REACHED_1MF_STRICT,
-    SEQGEN_MAX_SWEEPS,
-    SEQGEN_RESTARTS,
-    SEQGEN_TOL,
 )
 
 VARIANTS = ("couplings_only", "couplings_plus_ancilla", "full_local")
-
-
-def _fmt_cell(x) -> str:
-    if isinstance(x, float):
-        return fmt17(x)
-    return str(x)
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -78,12 +66,17 @@ def _csv_text(rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(rows[0]))
     for row in rows:
-        writer.writerow([_fmt_cell(x) for x in row.values()])
+        writer.writerow([fmt17(x) if isinstance(x, float) else str(x) for x in row.values()])
     return buf.getvalue()
 
 
+def _doc(command: str, **fields) -> dict:
+    """A document of the command: schema and command name, then the fields in order."""
+    return {"schema": SCHEMA, "command": command, **fields}
+
+
 def _json_text(command: str, rows: list[dict], summary: dict | None = None) -> str:
-    doc = {"schema": SCHEMA, "command": command, "rows": rows}
+    doc = _doc(command, rows=rows)
     if summary is not None:
         doc["summary"] = summary
     return json.dumps(doc, indent=2) + "\n"
@@ -95,6 +88,30 @@ def _write_output(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _check(failures: list, failed: bool, check: str, **detail) -> None:
+    """Record a failed check of a command as {"check": ..., "detail": {...}}."""
+    if failed:
+        failures.append({"check": check, "detail": detail})
+
+
+def _config(args, seqgen: bool = False, **defaults) -> OptimizationConfig:
+    """Optimizer config: the flags the user gave, over the library's defaults.
+
+    Compression takes OptimizationConfig's defaults and ignores --restarts.
+    The protocol commands (seqgen=True) take seqgen.default_config's, under
+    the command's own **defaults, and honour --restarts; without it, --strict
+    quadruples the restart budget.
+    """
+    flags = {"tol": args.tol, "max_sweeps": args.max_sweeps, "seed": args.seed}
+    if seqgen:
+        flags["restarts"] = args.restarts
+    build = default_config if seqgen else OptimizationConfig
+    cfg = build(**{**defaults, **{k: v for k, v in flags.items() if v is not None}})
+    if seqgen and args.restarts is None and args.strict:
+        cfg = replace(cfg, restarts=4 * cfg.restarts)
+    return cfg
 
 
 def _target_from_args(args) -> Mps:
@@ -121,6 +138,13 @@ def _suite_count(args) -> int:
             f"--count must be in 1..{_TARGETS_PER_N} (beyond it per-target seeds repeat), got {count}"
         )
     return count
+
+
+def _suite_sizes(args) -> range:
+    """Chain sizes 2..--n of a suite; a suite with no size would have no rows."""
+    if args.n < 2:
+        raise InvalidInputError(f"{args.command} needs --n >= 2")
+    return range(2, args.n + 1)
 
 
 def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
@@ -165,15 +189,10 @@ def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
 def cmd_compress(args, failures: list) -> tuple[list[dict], dict | None]:
     target = _target_from_args(args)
     d_prime = args.dprime if args.dprime is not None else max(1, target.max_bond // 2)
-    if args.method == "truncation":
+    if args.method == METHOD_TRUNCATION:
         _, report = compress_truncation(target, d_prime)
     else:
-        cfg = OptimizationConfig(
-            tol=args.tol if args.tol is not None else COMPRESS_TOL,
-            max_sweeps=args.max_sweeps if args.max_sweeps is not None else COMPRESS_MAX_SWEEPS,
-            seed=args.seed,
-        )
-        _, report = compress_variational(target, d_prime, cfg)
+        _, report = compress_variational(target, d_prime, _config(args))
     row = {
         "state": args.target,
         "method": report.method,
@@ -186,24 +205,11 @@ def cmd_compress(args, failures: list) -> tuple[list[dict], dict | None]:
     return [row], None
 
 
-def _seqgen_config(args, default_restarts: int) -> OptimizationConfig:
-    restarts = args.restarts
-    if restarts is None:
-        restarts = 4 * default_restarts if args.strict else default_restarts
-    return default_config(
-        tol=args.tol if args.tol is not None else SEQGEN_TOL,
-        max_sweeps=args.max_sweeps if args.max_sweeps is not None else SEQGEN_MAX_SWEEPS,
-        restarts=restarts,
-        seed=args.seed,
-    )
-
-
 def cmd_generate(args, failures: list) -> tuple[list[dict], dict | None]:
     target = _target_from_args(args)
     model = GeneratorModel(args.model)
     p0 = _initial_protocol(model, args.n, args.variant)
-    cfg = _seqgen_config(args, SEQGEN_RESTARTS)
-    p_opt, report = optimize(p0, target, cfg)
+    p_opt, report = optimize(p0, target, _config(args, seqgen=True))
     row = {
         "target": args.target,
         "n": args.n,
@@ -220,15 +226,10 @@ def cmd_generate(args, failures: list) -> tuple[list[dict], dict | None]:
 
 
 def cmd_fig1(args, failures: list) -> tuple[list[dict], dict | None]:
-    n = args.n if args.n is not None else 10
     bond = args.bond if args.bond is not None else 16
-    cfg = OptimizationConfig(
-        tol=args.tol if args.tol is not None else COMPRESS_TOL,
-        max_sweeps=args.max_sweeps if args.max_sweeps is not None else COMPRESS_MAX_SWEEPS,
-        seed=args.seed,
-    )
-    xxz = make_target(TargetSpec(kind="xxz", n=n, bond=bond, delta=args.delta, seed=args.seed))
-    rnd = make_target(TargetSpec(kind="random", n=n, bond=bond, seed=args.seed))
+    cfg = _config(args)
+    xxz = make_target(TargetSpec(kind="xxz", n=args.n, bond=bond, delta=args.delta, seed=args.seed))
+    rnd = make_target(TargetSpec(kind="random", n=args.n, bond=bond, seed=args.seed))
     rows = []
     errors = {}
     for state_name, target in (("xxz", xxz), ("random", rnd)):
@@ -248,46 +249,36 @@ def cmd_fig1(args, failures: list) -> tuple[list[dict], dict | None]:
                 errors[(state_name, rep.method, d_prime)] = rep.error
 
     for state_name in ("xxz", "random"):
-        for method in ("truncation", "variational"):
+        for method in METHODS:
             for d_prime in range(1, bond):
                 lo, hi = errors[(state_name, method, d_prime + 1)], errors[(state_name, method, d_prime)]
-                if lo > hi + CHECK_SLACK:
-                    failures.append(
-                        {
-                            "check": "error_monotone_in_d_prime",
-                            "detail": {"state": state_name, "method": method, "d_prime": d_prime + 1},
-                        }
-                    )
+                _check(
+                    failures, lo > hi + CHECK_SLACK, "error_monotone_in_d_prime",
+                    state=state_name, method=method, d_prime=d_prime + 1,
+                )
         for d_prime in range(1, bond + 1):
             tr = errors[(state_name, "truncation", d_prime)]
             va = errors[(state_name, "variational", d_prime)]
-            if va > tr + CHECK_SLACK:
-                failures.append(
-                    {
-                        "check": "variational_beats_truncation",
-                        "detail": {"state": state_name, "d_prime": d_prime, "truncation": tr, "variational": va},
-                    }
-                )
-        for method in ("truncation", "variational"):
-            if errors[(state_name, method, bond)] >= FULL_BOND_ERROR:
-                failures.append(
-                    {
-                        "check": "full_bond_error_small",
-                        "detail": {"state": state_name, "method": method, "error": errors[(state_name, method, bond)]},
-                    }
-                )
+            _check(
+                failures, va > tr + CHECK_SLACK, "variational_beats_truncation",
+                state=state_name, d_prime=d_prime, truncation=tr, variational=va,
+            )
+        for method in METHODS:
+            error = errors[(state_name, method, bond)]
+            _check(
+                failures, error >= FULL_BOND_ERROR, "full_bond_error_small",
+                state=state_name, method=method, error=error,
+            )
     return rows, None
 
 
 def cmd_fig3(args, failures: list) -> tuple[list[dict], dict | None]:
-    n_max = args.n if args.n is not None else 8
-    if n_max < 2:
-        raise SeqmpsError("fig3 needs --n >= 2")
-    cfg = _seqgen_config(args, SEQGEN_RESTARTS)
+    sizes = _suite_sizes(args)
+    cfg = _config(args, seqgen=True)
     model = GeneratorModel("xy")
     rows = []
     values = {}
-    for n in range(2, n_max + 1):
+    for n in sizes:
         target = make_target(TargetSpec(kind="w", n=n))
         for variant in ("couplings_only", "couplings_plus_ancilla"):
             p0 = _initial_protocol(model, n, variant)
@@ -304,50 +295,35 @@ def cmd_fig3(args, failures: list) -> tuple[list[dict], dict | None]:
             values[(n, variant)] = report.one_minus_f
 
     aug_threshold = REACHED_1MF_STRICT if args.strict else REACHED_1MF
-    if n_max >= 4:
+    if args.n >= 4:
         aug = values[(4, "couplings_plus_ancilla")]
         only = values[(4, "couplings_only")]
-        if aug >= aug_threshold:
-            failures.append(
-                {"check": "augmented_reaches_target", "detail": {"n": 4, "one_minus_f": aug}}
-            )
-        if only < COUPLINGS_ONLY_FACTOR * aug:
-            failures.append(
-                {
-                    "check": "couplings_only_worse_by_1e3",
-                    "detail": {"n": 4, "couplings_only": only, "couplings_plus_ancilla": aug},
-                }
-            )
+        _check(failures, aug >= aug_threshold, "augmented_reaches_target", n=4, one_minus_f=aug)
+        _check(
+            failures, only < COUPLINGS_ONLY_FACTOR * aug, "couplings_only_worse_by_1e3",
+            n=4, couplings_only=only, couplings_plus_ancilla=aug,
+        )
         for variant in ("couplings_only", "couplings_plus_ancilla"):
-            if values[(2, variant)] > values[(4, variant)] + CHECK_SLACK:
-                failures.append(
-                    {
-                        "check": "smaller_n_no_worse",
-                        "detail": {
-                            "variant": variant,
-                            "n2": values[(2, variant)],
-                            "n4": values[(4, variant)],
-                        },
-                    }
-                )
+            n2, n4 = values[(2, variant)], values[(4, variant)]
+            _check(failures, n2 > n4 + CHECK_SLACK, "smaller_n_no_worse", variant=variant, n2=n2, n4=n4)
     return rows, None
 
 
 def cmd_random_suite(args, failures: list) -> tuple[list[dict], dict | None]:
-    n_max = args.n if args.n is not None else 5
+    sizes = _suite_sizes(args)
     count = _suite_count(args)
-    cfg = _seqgen_config(args, SEQGEN_RESTARTS)
+    cfg = _config(args, seqgen=True)
     model = GeneratorModel("xy")
     threshold = REACHED_1MF_STRICT if args.strict else REACHED_1MF
     rows = []
     max_per_n = {}
-    for n in range(2, n_max + 1):
+    for n in sizes:
+        p0 = _initial_protocol(model, n, "full_local")
         worst = 0.0
         for idx in range(count):
             seed = _derived_seed(args.seed, n, idx)
             target = make_target(TargetSpec(kind="random", n=n, bond=2, seed=seed))
-            p0 = _initial_protocol(model, n, "full_local")
-            _, report = optimize_full_local(p0, target, cfg)
+            _, report = optimize(p0, target, cfg)
             rows.append(
                 {
                     "seed": seed,
@@ -358,10 +334,7 @@ def cmd_random_suite(args, failures: list) -> tuple[list[dict], dict | None]:
             )
             worst = max(worst, report.one_minus_f)
         max_per_n[n] = worst
-        if worst >= threshold:
-            failures.append(
-                {"check": "random_targets_reachable", "detail": {"n": n, "max_one_minus_f": worst}}
-            )
+        _check(failures, worst >= threshold, "random_targets_reachable", n=n, max_one_minus_f=worst)
     summary = {
         "max_one_minus_f_per_n": {str(n): v for n, v in max_per_n.items()},
         "threshold": threshold,
@@ -371,23 +344,22 @@ def cmd_random_suite(args, failures: list) -> tuple[list[dict], dict | None]:
 
 
 def cmd_cnot_test(args, failures: list) -> tuple[list[dict], dict | None]:
-    n = args.n if args.n is not None else 4
+    n = args.n
     count = _suite_count(args)
-    cfg = _seqgen_config(args, 10)
-    model = GeneratorModel("xy")
+    cfg = _config(args, seqgen=True, restarts=10)
+    p0 = make_protocol(
+        GeneratorModel("xy"),
+        n,
+        with_ancilla=True,
+        with_qubit_pre=True,
+        with_qubit_post=True,
+        fixed_gate=CNOT,
+    )
     rows = []
     above = 0
     for idx in range(count):
         seed = _derived_seed(args.seed, n, idx)
         target = make_target(TargetSpec(kind="random", n=n, bond=2, seed=seed))
-        p0 = make_protocol(
-            model,
-            n,
-            with_ancilla=True,
-            with_qubit_pre=True,
-            with_qubit_post=True,
-            fixed_gate=CNOT,
-        )
         _, report = optimize(p0, target, cfg)
         rows.append({"seed": seed, "n": n, "one_minus_f": report.one_minus_f})
         if report.one_minus_f > CNOT_FAILURE_1MF:
@@ -396,23 +368,13 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[dict], dict | None]:
     # Product states need no entangler at all, so CNOT + locals must manage.
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    product = normalize(from_state_vector(psi))
-    p0 = make_protocol(
-        model, n, with_ancilla=True, with_qubit_pre=True, with_qubit_post=True, fixed_gate=CNOT
-    )
-    _, product_report = optimize(p0, product, cfg)
+    _, product_report = optimize(p0, normalize(from_state_vector(psi)), cfg)
 
-    if above == 0:
-        failures.append(
-            {"check": "cnot_fails_some_target", "detail": {"count": count, "above_1e-3": above}}
-        )
-    if product_report.one_minus_f >= PRODUCT_SOLVED_1MF:
-        failures.append(
-            {
-                "check": "cnot_handles_product_state",
-                "detail": {"one_minus_f": product_report.one_minus_f},
-            }
-        )
+    _check(failures, above == 0, "cnot_fails_some_target", count=count, **{"above_1e-3": above})
+    _check(
+        failures, product_report.one_minus_f >= PRODUCT_SOLVED_1MF, "cnot_handles_product_state",
+        one_minus_f=product_report.one_minus_f,
+    )
     summary = {
         "targets": count,
         "above_threshold": above,
@@ -424,13 +386,14 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[dict], dict | None]:
     return rows, summary
 
 
+# Handler, default --format and default --n of each command.
 COMMANDS = {
-    "compress": (cmd_compress, "json"),
-    "generate": (cmd_generate, "json"),
-    "fig1": (cmd_fig1, "csv"),
-    "fig3": (cmd_fig3, "csv"),
-    "random-suite": (cmd_random_suite, "csv"),
-    "cnot-test": (cmd_cnot_test, "json"),
+    "compress": (cmd_compress, "json", 4),
+    "generate": (cmd_generate, "json", 4),
+    "fig1": (cmd_fig1, "csv", 10),
+    "fig3": (cmd_fig3, "csv", 8),
+    "random-suite": (cmd_random_suite, "csv", 5),
+    "cnot-test": (cmd_cnot_test, "json", 4),
 }
 
 
@@ -441,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--command", required=True, choices=sorted(COMMANDS))
     parser.add_argument("--target", choices=KINDS, default="random", help="target state family")
-    parser.add_argument("--model", choices=("xy", "xxz", "ion_xy", "full_pauli"), default="xy")
+    parser.add_argument("--model", choices=MODEL_KINDS, default="xy")
     parser.add_argument("--variant", choices=VARIANTS, default="couplings_plus_ancilla")
     parser.add_argument("--n", type=int, default=None, help="qubit count (or max n for suites)")
     parser.add_argument("--delta", type=float, default=1.0, help="XXZ anisotropy")
@@ -450,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target bond dimension (default: exact for xxz, 2 for random, 16 for fig1)",
     )
     parser.add_argument("--dprime", type=int, default=None, help="compression bond cap")
-    parser.add_argument("--method", choices=("truncation", "variational"), default="variational")
+    parser.add_argument("--method", choices=METHODS, default="variational")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-sweeps", type=int, default=None)
     parser.add_argument("--restarts", type=int, default=None)
@@ -462,43 +425,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_status(command: str, status: str, **fields) -> None:
+    """The one-line JSON status document that a failed run writes to stderr."""
+    sys.stderr.write(json.dumps(_doc(command, status=status, **fields)) + "\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.n is None and args.command in ("compress", "generate"):
-        args.n = 4
-    handler, default_format = COMMANDS[args.command]
+    handler, default_format, default_n = COMMANDS[args.command]
+    if args.n is None:
+        args.n = default_n
     fmt = args.format if args.format is not None else default_format
 
     failures: list[dict] = []
     try:
         rows, summary = handler(args, failures)
     except SeqmpsError as exc:
-        doc = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "status": "error",
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        sys.stderr.write(json.dumps(doc) + "\n")
+        _write_status(args.command, "error", error=type(exc).__name__, message=str(exc))
         return 2
 
     if fmt == "csv":
         _write_output(_csv_text(rows), args.out)
         if summary is not None and args.out is not None:
             with open(args.out + ".summary.json", "w") as fh:
-                json.dump({"schema": SCHEMA, "command": args.command, "summary": summary}, fh, indent=2)
+                json.dump(_doc(args.command, summary=summary), fh, indent=2)
     else:
         _write_output(_json_text(args.command, rows, summary), args.out)
 
     if failures:
-        doc = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "status": "failed",
-            "failures": failures,
-        }
-        sys.stderr.write(json.dumps(doc) + "\n")
+        _write_status(args.command, "failed", failures=failures)
         return 1
     return 0
 

@@ -64,6 +64,7 @@ from .tolerances import (
 
 METHOD_TRUNCATION = "truncation"
 METHOD_VARIATIONAL = "variational"
+METHODS = (METHOD_TRUNCATION, METHOD_VARIATIONAL)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class CompressionReport:
     sweep_history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.method not in (METHOD_TRUNCATION, METHOD_VARIATIONAL):
+        if self.method not in METHODS:
             raise InvalidInputError(f"unknown compression method {self.method!r}")
         if self.d_prime < 1:
             raise InvalidInputError("d_prime must be >= 1")
@@ -181,7 +182,7 @@ def compress_variational(
     best = None
     for r in range(runs):
         if cfg.init == "truncation":
-            start, _ = compress_truncation(target, d_prime)
+            start = truncate_per_matrix(target, d_prime)
         else:
             start = _random_trial(target, d_prime, np.random.default_rng(seeds[r]))
         result = _als_run(target, at, start, d_prime, cfg)

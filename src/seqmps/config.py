@@ -18,7 +18,8 @@ class OptimizationConfig:
     max_sweeps: hard cap on full sweeps (one up plus one down pass).
     restarts: independently seeded runs; the best final result wins.  The
         first run always starts from the caller's initial point.
-    seed: root seed; per-restart streams are split from it deterministically.
+    seed: non-negative root seed; per-restart streams are split from it
+        deterministically.
     init: trial initialization for compression, "truncation" or "random".
     vary_phi_i: let the protocol optimizer update the initial ancilla vector
         (closed form, once per sweep).
@@ -41,5 +42,7 @@ class OptimizationConfig:
             raise InvalidInputError("max_sweeps must be >= 1")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.init not in ("truncation", "random"):
             raise InvalidInputError(f"unknown init {self.init!r}")

@@ -121,6 +121,8 @@ def random_mps(n: int, bond: int, seed: int) -> Mps:
         raise InvalidInputError("random targets need n >= 2")
     if bond < 1:
         raise InvalidInputError("bond must be >= 1")
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     dims = [min(bond, 2**k, 2 ** (n - k)) for k in range(n + 1)]
     tensors = []

@@ -8,8 +8,10 @@ import pytest
 import scipy.linalg
 
 import seqmps
+import seqmps.cli as cli
 import seqmps.seqgen as seqgen
 from seqmps.cli import main
+from seqmps.tolerances import REACHED_1MF_STRICT
 
 
 def run_to_file(tmp_path, name, argv):
@@ -229,6 +231,45 @@ def test_suite_count_outside_the_seed_space_exits_2(capsys):
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "InvalidInputError"
             assert "--count" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A suite over sizes 2..1 would have no rows to write.
+        ["--command", "random-suite", "--n", "1", "--count", "1"],
+        ["--command", "fig3", "--n", "1"],
+        # Refused by random_mps (the compress target) and by
+        # OptimizationConfig (generate's W target draws no seed).
+        ["--command", "compress", "--n", "4", "--seed", "-1"],
+        ["--command", "generate", "--target", "w", "--n", "3", "--seed", "-1"],
+    ],
+    ids=["random-suite-n1", "fig3-n1", "compress-negative-seed", "generate-negative-seed"],
+)
+def test_out_of_range_n_or_seed_exits_2(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error"] == "InvalidInputError"
+
+
+def test_random_suite_strict_tightens_threshold_and_restarts(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(p0, target, cfg):
+        seen.append(cfg)
+        return seqgen.optimize(p0, target, cfg)
+
+    monkeypatch.setattr(cli, "optimize", spy)
+    code, _ = run_to_file(
+        tmp_path, "strict.csv",
+        ["--command", "random-suite", "--n", "2", "--count", "1", "--strict"],
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "strict.csv.summary.json").read_text())["summary"]
+    assert summary["threshold"] == REACHED_1MF_STRICT
+    assert [cfg.restarts for cfg in seen] == [4 * seqgen.default_config().restarts]
 
 
 def test_unknown_command_is_a_usage_error():
