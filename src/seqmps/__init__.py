@@ -54,7 +54,6 @@ from .seqgen import (
     fidelity_vector,
     make_protocol,
     optimize,
-    optimize_full_local,
     pauli_coefficients,
     simulate,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "norm",
     "normalize",
     "optimize",
-    "optimize_full_local",
     "overlap",
     "pauli_coefficients",
     "procrustes_unitary",

@@ -38,8 +38,8 @@ exact, bit for bit.  The same holds for ``above`` after a down walk.  A
 half-sweep thus costs n - 1 transfers, where re-folding the side ahead
 first would cost 2 (n - 1).
 
-Initialized from the truncation result (default) the variational error can
-only improve on truncation.
+Initialized from the truncation result, the variational error can only
+improve on truncation.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import OptimizationConfig
-from .errors import InvalidInputError
-from .mps import GAUGE_LEFT, Mps, canonicalize_left, norm, normalize, overlap, truncate_per_matrix
+from .config import OptimizationConfig, non_increasing
+from .errors import InvalidInputError, NumericalFailureError
+from .mps import GAUGE_LEFT, Mps, norm, overlap, truncate_per_matrix
 from .mps import _absorb_boundaries, _center_down, _center_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA
 from .tolerances import (
@@ -58,7 +58,6 @@ from .tolerances import (
     COMPRESS_TARGET_NORM_ATOL,
     FIDELITY_CLAMP,
     FIDELITY_SLACK,
-    MONOTONE_SLACK,
     ZERO_NORM,
 )
 
@@ -93,8 +92,7 @@ class CompressionReport:
         if not -FIDELITY_SLACK <= self.fidelity <= FIDELITY_CLAMP:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
         object.__setattr__(self, "error", max(float(self.error), 0.0))
-        h = np.asarray(self.sweep_history, dtype=float)
-        if h.size and np.any(np.diff(h) > MONOTONE_SLACK):
+        if not non_increasing(self.sweep_history):
             raise InvalidInputError("sweep_history is not non-increasing")
 
     def to_json_dict(self) -> dict:
@@ -145,30 +143,16 @@ def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionRepo
     )
 
 
-def _random_trial(target: Mps, d_prime: int, rng: np.random.Generator) -> Mps:
-    """Random left-canonical trial with the capped bond profile of the target."""
-    dims = [min(int(d), d_prime) for d in target.bond_dims]
-    tensors = []
-    for k in range(1, target.n + 1):
-        shape = (2, dims[k], dims[k - 1])
-        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        tensors.append(t)
-    phi_i = rng.standard_normal(dims[0]) + 1j * rng.standard_normal(dims[0])
-    phi_f = rng.standard_normal(dims[-1]) + 1j * rng.standard_normal(dims[-1])
-    return normalize(canonicalize_left(Mps(tensors, phi_i, phi_f)))
-
-
 def compress_variational(
     target: Mps, d_prime: int, cfg: OptimizationConfig | None = None
 ) -> tuple[Mps, CompressionReport]:
     """Alternating-least-squares compression to bond dimension d_prime.
 
-    cfg.init picks the starting trial ("truncation" or "random"); with
-    random init, cfg.restarts independent seeded runs are performed and the
-    lowest final error wins.  Convergence: the error change over one full
-    sweep is at most cfg.tol * (1 + error).  If the initial trial already
-    matches the target to within COMPRESS_EXACT_ERROR in error, it is
-    returned with zero sweeps.
+    Starts from the truncation result.  Convergence: the error change over
+    one full sweep is at most cfg.tol * (1 + error), within cfg.max_sweeps
+    sweeps.  If the start already matches the target to within
+    COMPRESS_EXACT_ERROR in error, it is returned with zero sweeps.  An error
+    history that rises raises NumericalFailureError.
     """
     if cfg is None:
         cfg = OptimizationConfig()
@@ -176,26 +160,7 @@ def compress_variational(
     if d_prime < 1:
         raise InvalidInputError("d_prime must be >= 1")
 
-    at = _absorb_boundaries(target)
-    runs = cfg.restarts if cfg.init == "random" else 1
-    seeds = np.random.SeedSequence(cfg.seed).spawn(max(runs, 1))
-    best = None
-    for r in range(runs):
-        if cfg.init == "truncation":
-            start = truncate_per_matrix(target, d_prime)
-        else:
-            start = _random_trial(target, d_prime, np.random.default_rng(seeds[r]))
-        result = _als_run(target, at, start, d_prime, cfg)
-        if best is None or result[1].error < best[1].error:
-            best = result
-        if cfg.good_enough is not None and best[1].error <= cfg.good_enough:
-            break
-    return best
-
-
-def _als_run(
-    target: Mps, at: list[np.ndarray], start: Mps, d_prime: int, cfg: OptimizationConfig
-) -> tuple[Mps, CompressionReport]:
+    start = truncate_per_matrix(target, d_prime)
     ov0 = overlap(target, start)
     err0 = _error_from_overlap(ov0)
     if err0 <= COMPRESS_EXACT_ERROR:
@@ -206,6 +171,7 @@ def _als_run(
             fidelity=min(float(abs(ov0)), FIDELITY_CLAMP),
         )
 
+    at = _absorb_boundaries(target)
     ts = _absorb_boundaries(start)
     # Absorbing a non-unit phi_f breaks the isometry of site n, and the first
     # up half-sweep needs every site above the center isometric: move the
@@ -232,6 +198,8 @@ def _als_run(
             converged = True
             break
         prev = err
+    if not non_increasing(history):
+        raise NumericalFailureError("the compression error history is not non-increasing")
 
     # After a down half-sweep the gauge center sits at site 1; normalizing it
     # makes every site isometric, i.e. the chain is left-canonical.
@@ -242,11 +210,10 @@ def _als_run(
     trial = Mps(
         ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex), GAUGE_LEFT
     )
-    err = history[-1]
     return trial, CompressionReport(
         d_prime=d_prime,
         method=METHOD_VARIATIONAL,
-        error=err,
+        error=history[-1],
         fidelity=min(final_f, FIDELITY_CLAMP),
         sweeps=sweeps,
         converged=converged,

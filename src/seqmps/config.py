@@ -1,16 +1,26 @@
-"""Shared sweep/restart configuration for the two variational optimizers."""
+"""Shared sweep/restart configuration and descent check of the two variational optimizers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
-from .tolerances import COMPRESS_MAX_SWEEPS, COMPRESS_TOL, GOOD_ENOUGH_COST
+from .tolerances import COMPRESS_MAX_SWEEPS, COMPRESS_TOL, GOOD_ENOUGH_COST, MONOTONE_SLACK
+
+
+def non_increasing(history) -> bool:
+    """True unless a cost history rises by more than MONOTONE_SLACK from one entry to the next."""
+    return not np.any(np.diff(np.asarray(history, dtype=float)) > MONOTONE_SLACK)
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Knobs for sweeping optimizers (compression and protocol search).
+    """Knobs for sweeping optimizers.
+
+    compress_variational reads tol and max_sweeps; optimize reads all five.
 
     tol: convergence threshold on the sweep-to-sweep change of the cost;
         tested as |delta| <= tol * (1 + cost), i.e. relative for O(1) costs
@@ -20,9 +30,6 @@ class OptimizationConfig:
         first run always starts from the caller's initial point.
     seed: non-negative root seed; per-restart streams are split from it
         deterministically.
-    init: trial initialization for compression, "truncation" or "random".
-    vary_phi_i: let the protocol optimizer update the initial ancilla vector
-        (closed form, once per sweep).
     good_enough: skip remaining restarts once a run's final cost is at or
         below this; None disables the shortcut.
     """
@@ -31,18 +38,16 @@ class OptimizationConfig:
     max_sweeps: int = COMPRESS_MAX_SWEEPS
     restarts: int = 1
     seed: int = 0
-    init: str = "truncation"
-    vary_phi_i: bool = False
     good_enough: float | None = GOOD_ENOUGH_COST
 
     def __post_init__(self):
-        if self.tol < 0:
-            raise InvalidInputError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:
+            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.good_enough is not None and not math.isfinite(self.good_enough):
+            raise InvalidInputError(f"good_enough must be finite, got {self.good_enough}")
         if self.max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be >= 1")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
-        if self.init not in ("truncation", "random"):
-            raise InvalidInputError(f"unknown init {self.init!r}")

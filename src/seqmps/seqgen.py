@@ -55,9 +55,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OptimizationConfig
+from .config import OptimizationConfig, non_increasing
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, schur, svd
+from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, schur
 from .mps import GAUGE_LEFT, Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
@@ -66,7 +66,6 @@ from .tolerances import (
     FIDELITY_SLACK,
     GATE_UNITARITY_ATOL,
     LOCAL_UNITARITY_ATOL,
-    MONOTONE_SLACK,
     REPORT_COST_ATOL,
     SEQGEN_MAX_SWEEPS,
     SEQGEN_RESTARTS,
@@ -257,12 +256,6 @@ def build_step_unitary(
     else:
         core = model.entangler(params)
     return _product(_factors(core, ua, ub_pre, ub_post))
-
-
-# Partial trace that turns a unitary slot's environment, reshaped to
-# (d, 2, d, 2), into its Procrustes input: over the qubit for U^A x 1, over
-# the ancilla for 1 x U^B, and over nothing for the core.
-_TRACE = {"ua": "aibi->ab", "ub_pre": "ajai->ji", "core": "aibj->aibj", "ub_post": "ajai->ji"}
 
 
 @functools.cache
@@ -557,7 +550,7 @@ class FidelityReport:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
         if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > REPORT_COST_ATOL:
             raise InvalidInputError("cost is not 2 (1 - fidelity)")
-        if not _non_increasing(self.history):
+        if not non_increasing(self.history):
             raise InvalidInputError("history is not non-increasing")
 
     @property
@@ -576,10 +569,6 @@ class FidelityReport:
             "restarts_used": self.restarts_used,
             "history_length": len(self.history),
         }
-
-
-def _non_increasing(history) -> bool:
-    return not np.any(np.diff(np.asarray(history, dtype=float)) > MONOTONE_SLACK)
 
 
 def _target_arrays(target: Mps):
@@ -630,13 +619,12 @@ class _SweepState:
             couplings = self.params.pop("couplings")
             self.params["core"] = np.stack([self.model.entangler(c) for c in couplings])
         self.qubit_inits = p.qubit_inits
-        self.phi_i = p.phi_i.copy()
         self.at, self.at_phi_i, self.at_phi_f = _target_arrays(target)
         self.v_sites = _sites(self, self.params)
         self.history: list[float] = []
 
     def left_seed(self) -> np.ndarray:
-        return np.outer(self.phi_i, self.at_phi_i.conj())
+        return np.outer(self.start.phi_i, self.at_phi_i.conj())
 
     def tail_seed(self) -> np.ndarray:
         tm = np.zeros((self.d, self.d, self.at_phi_f.shape[0]), dtype=complex)
@@ -644,7 +632,7 @@ class _SweepState:
         return tm
 
     def cost(self, sites: list) -> float:
-        """2 (1 - F) of the given sites, with the current phi_i."""
+        """2 (1 - F) of the given sites."""
         v = _fold_up(self.left_seed(), sites, self.at) @ self.at_phi_f
         return 2.0 * (1.0 - min(float(np.linalg.norm(v)), FIDELITY_CLAMP))
 
@@ -653,7 +641,7 @@ class _SweepState:
         if "core" in self.params:
             couplings = np.array([_log_couplings(u) for u in self.params["core"]])
         stacks = {name: self.params.get(slot) for slot, name in _LOCAL_FIELDS.items()}
-        return replace(self.start, couplings=couplings, phi_i=self.phi_i, **stacks)
+        return replace(self.start, couplings=couplings, **stacks)
 
 
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
@@ -753,8 +741,13 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
             _search_couplings(st.model, st.params["couplings"][i], kf)
             chain[j] = (slot, st.model.entangler(st.params["couplings"][i]))
         else:
-            env = np.einsum(_TRACE[slot], _frozen_env(kf, v).reshape(st.d, 2, st.d, 2))
-            factor = procrustes_unitary(env.reshape(st.params[slot].shape[1:]))
+            env = _frozen_env(kf, v)
+            if slot != "core":
+                # Trace out the identity part of the factor: the qubit of
+                # U^A x 1, the ancilla of 1 x U^B.
+                axes = (1, 3) if slot == "ua" else (0, 2)
+                env = env.reshape(st.d, 2, st.d, 2).trace(axis1=axes[0], axis2=axes[1])
+            factor = procrustes_unitary(env)
             st.params[slot][i] = factor
             chain[j] = (slot, _embed(slot, factor, st.d))
         u = _product(chain)
@@ -781,20 +774,6 @@ def _search_couplings(model: GeneratorModel, params: np.ndarray, kcore: np.ndarr
         cand = _coupling_argmax(coef, period)
         if overlap2(cand) >= overlap2(params[m]):
             params[m] = cand
-
-
-def _update_phi_i(st: _SweepState) -> None:
-    """Closed-form update of the initial ancilla vector (top singular vector)."""
-    # Column b of z is the leftover vector of phi_i = e_b, so v = z @ phi_i.
-    seeds = [np.outer(e, st.at_phi_i.conj()) for e in np.eye(st.d, dtype=complex)]
-    z = np.stack([_fold_up(s, st.v_sites, st.at) @ st.at_phi_f for s in seeds], axis=1)
-    _, sing, vdag = svd(z)
-    phi = vdag[0].conj()
-    # Fix the overall phase for determinism (largest component real positive).
-    j = int(np.argmax(np.abs(phi)))
-    phi = phi * (abs(phi[j]) / phi[j])
-    st.phi_i = phi
-    st.history.append(2.0 * (1.0 - min(float(sing[0]), FIDELITY_CLAMP)))
 
 
 def _log_couplings(u: np.ndarray) -> np.ndarray:
@@ -863,15 +842,11 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
     sweeps = 0
     converged = False
     snaps = [_snapshot(st)]
-    # phi_i enters only lefts, which every up walk rebuilds from left_seed();
-    # tails must be refolded only when an extrapolation moved the sites.
+    # The kept tails stay valid until an extrapolation moves the sites.
     lefts, tails = [None] * st.n, _fold_tails(st)
     for sweep in range(cfg.max_sweeps):
         _sweep_once(st, lefts, tails, up=True)
         cost = _sweep_once(st, lefts, tails, up=False)
-        if cfg.vary_phi_i:
-            _update_phi_i(st)
-            cost = st.history[-1]
         extrapolated = _extrapolate_sweep(st, snaps, cost)
         if extrapolated < cost:
             tails = _fold_tails(st)
@@ -940,7 +915,7 @@ def optimize(
         if cfg.good_enough is not None and best[0] <= cfg.good_enough:
             break
     cost, st, sweeps, converged = best
-    if not _non_increasing(st.history):
+    if not non_increasing(st.history):
         raise NumericalFailureError("the optimizer's cost history is not non-increasing")
     p_opt = st.to_protocol()
     report = _report(
@@ -953,18 +928,3 @@ def optimize(
     )
     return p_opt, report
 
-
-def optimize_full_local(
-    p0: Protocol, target: Mps, cfg: OptimizationConfig | None = None
-) -> tuple[Protocol, FidelityReport]:
-    """optimize() over couplings plus all three local unitary families.
-
-    Requires the xy model with a 2-level ancilla (the regime in which this
-    augmentation generates arbitrary bond-2 targets).  Missing local families
-    in p0 are enabled as identities.
-    """
-    if p0.model.kind != "xy" or p0.model.d_ancilla != 2:
-        raise InvalidInputError("optimize_full_local requires the xy model with d_ancilla = 2")
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (p0.n, 2, 2))
-    missing = {name: eye.copy() for name in _LOCAL_FIELDS.values() if getattr(p0, name) is None}
-    return optimize(replace(p0, fixed_gate=None, **missing), target, cfg)

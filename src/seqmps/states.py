@@ -15,6 +15,7 @@ diagonalizes it one block of fixed one-bit count at a time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ class TargetSpec:
             raise InvalidInputError("targets need n >= 2")
         if self.bond is not None and self.bond < 1:
             raise InvalidInputError("bond must be >= 1 when given")
+        if not math.isfinite(self.delta):
+            raise InvalidInputError(f"delta must be finite, got {self.delta}")
 
 
 def make_target(spec: TargetSpec) -> Mps:
@@ -150,6 +153,8 @@ def xxz_dense_hamiltonian(n: int, delta: float, ones: int | None = None) -> np.n
         raise InvalidInputError("xxz needs n >= 2")
     if n > MAX_XXZ_QUBITS:
         raise CapacityError(f"n = {n} exceeds the XXZ cap of {MAX_XXZ_QUBITS}")
+    if not math.isfinite(delta):
+        raise InvalidInputError(f"delta must be finite, got {delta}")
     states = np.arange(2**n) if ones is None else np.flatnonzero(_one_bits(n) == ones)
     z = 1 - 2 * ((states[:, None] >> np.arange(n)) & 1)  # site k is bit k - 1
     h = np.diag((z[:, :-1] * z[:, 1:]).sum(axis=1) * float(delta))

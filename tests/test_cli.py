@@ -9,6 +9,7 @@ import scipy.linalg
 
 import seqmps
 import seqmps.cli as cli
+import seqmps.compress as compress
 import seqmps.seqgen as seqgen
 from seqmps.cli import main
 from seqmps.tolerances import REACHED_1MF_STRICT
@@ -218,6 +219,42 @@ def test_non_monotone_optimizer_history_exits_2(monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["status"] == "error"
     assert err["error"] == "NumericalFailureError"
+
+
+def test_non_monotone_compression_history_exits_2(monkeypatch, capsys):
+    # An error history that rises is a fault of the optimizer, not of its input.
+    half_sweep = compress._half_sweep
+    fnorms = []
+
+    def falling(*args):
+        # Sweep as usual, but report a fidelity that drops with each half-sweep.
+        fnorms.append(half_sweep(*args))
+        return fnorms[0] - 1e-6 * len(fnorms)
+
+    monkeypatch.setattr(compress, "_half_sweep", falling)
+    code = main(COMPRESS_XXZ + ["--max-sweeps", "2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error"] == "NumericalFailureError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "compress", "--n", "4", "--tol", "nan"],
+        ["--command", "generate", "--n", "3", "--tol", "inf"],
+        ["--command", "compress", "--target", "xxz", "--n", "4", "--delta", "inf"],
+        ["--command", "compress", "--target", "xxz", "--n", "4", "--delta", "nan"],
+    ],
+    ids=["compress-tol-nan", "generate-tol-inf", "delta-inf", "delta-nan"],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error"] == "InvalidInputError"
 
 
 def test_suite_count_outside_the_seed_space_exits_2(capsys):

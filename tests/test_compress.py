@@ -89,29 +89,6 @@ def test_variational_matches_brute_force(d_prime):
     assert report.fidelity >= bf - 1e-6
 
 
-def test_variational_random_init_is_seeded():
-    target = seqmps.xxz_ground(8, 1.0)
-    cfg = OptimizationConfig(init="random", restarts=3, seed=99)
-    _, a = seqmps.compress_variational(target, 2, cfg)
-    _, b = seqmps.compress_variational(target, 2, cfg)
-    assert a.error == b.error
-    assert a.sweeps == b.sweeps
-    cfg2 = OptimizationConfig(init="random", restarts=3, seed=100)
-    _, c = seqmps.compress_variational(target, 2, cfg2)
-    assert abs(c.error - a.error) < 1e-6
-
-
-def test_variational_improves_on_bad_start():
-    # From a random start the first sweeps must strictly reduce the error
-    # for a target that truncation already approximates well.
-    target = seqmps.xxz_ground(8, 0.5)
-    cfg = OptimizationConfig(init="random", restarts=1, seed=0)
-    _, report = seqmps.compress_variational(target, 2, cfg)
-    assert report.sweep_history[0] > report.error
-    _, default = seqmps.compress_variational(target, 2)
-    assert report.error <= default.error + 1e-6
-
-
 def test_compression_input_validation():
     target = seqmps.ghz_state(4)
     with pytest.raises(InvalidInputError):

@@ -532,10 +532,16 @@ def test_optimize_gauge_invariant_fidelity():
     assert abs(a.fidelity - b.fidelity) < 1e-10
 
 
+def full_local_start(n):
+    """xy protocol with all three local unitary families, as identities."""
+    return seqmps.make_protocol(
+        GeneratorModel("xy"), n, with_ancilla=True, with_qubit_pre=True, with_qubit_post=True
+    )
+
+
 def test_optimize_full_local_random_target():
     target = seqmps.random_mps(3, 2, seed=14)
-    p0 = seqmps.make_protocol(GeneratorModel("xy"), 3)
-    p, report = seqmps.optimize_full_local(p0, target, seqmps.default_config(seed=0))
+    p, report = seqmps.optimize(full_local_start(3), target, seqmps.default_config(seed=0))
     assert report.one_minus_f < 1e-8
     assert p.local_ancilla is not None
     assert p.local_qubit_pre is not None
@@ -544,15 +550,8 @@ def test_optimize_full_local_random_target():
 
 def test_optimize_full_local_ghz5():
     target = seqmps.ghz_state(5)
-    p0 = seqmps.make_protocol(GeneratorModel("xy"), 5)
-    _, report = seqmps.optimize_full_local(p0, target, seqmps.default_config(seed=0))
+    _, report = seqmps.optimize(full_local_start(5), target, seqmps.default_config(seed=0))
     assert report.one_minus_f < 1e-8
-
-
-def test_optimize_full_local_requires_xy():
-    p0 = seqmps.make_protocol(GeneratorModel("xxz"), 3)
-    with pytest.raises(InvalidInputError):
-        seqmps.optimize_full_local(p0, seqmps.ghz_state(3))
 
 
 def test_cnot_with_locals_fails_some_targets():
@@ -621,8 +620,9 @@ def test_default_config_values():
     assert override.seed == 7
     with pytest.raises(InvalidInputError):
         seqmps.default_config(restarts=0)
-    with pytest.raises(InvalidInputError):
-        seqmps.default_config(init="guess")
+    for bad in ({"max_sweeps": 0}, {"tol": float("nan")}, {"good_enough": float("inf")}):
+        with pytest.raises(InvalidInputError):
+            seqmps.default_config(**bad)
 
 
 def random_step_environments(rng, d, bonds):
@@ -746,13 +746,11 @@ def test_coupling_argmax_beats_a_dense_grid(kind_m, bonds, seed):
     assert best >= max(brute(theta) for theta in np.linspace(lo, hi, 2000)) - 1e-12
 
 
-# Every sweep runs to the cap, updates phi_i, and (for this start) accepts
-# extrapolations in some sweeps and not in others.
+# Every sweep runs to the cap and (for this start) accepts extrapolations in
+# some sweeps and not in others.
 KEEP_TARGET = seqmps.random_mps(5, 2, seed=11)
 KEEP_START = random_protocol(GeneratorModel("xy"), 5, seed=12)
-KEEP_CFG = seqmps.default_config(
-    tol=0.0, max_sweeps=6, restarts=1, good_enough=None, vary_phi_i=True
-)
+KEEP_CFG = seqmps.default_config(tol=0.0, max_sweeps=6, restarts=1, good_enough=None)
 
 
 def counting_extrapolations(monkeypatch):
