@@ -31,8 +31,6 @@ from .linalg import (
     svd,
 )
 from .mps import (
-    GAUGE_LEFT,
-    GAUGE_NONE,
     Mps,
     canonicalize_left,
     from_state_vector,
@@ -77,8 +75,6 @@ __all__ = [
     "CompressionReport",
     "DegenerateStateError",
     "FidelityReport",
-    "GAUGE_LEFT",
-    "GAUGE_NONE",
     "GeneratorModel",
     "InvalidInputError",
     "Mps",

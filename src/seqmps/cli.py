@@ -35,7 +35,7 @@ import numpy as np
 from .compress import METHOD_TRUNCATION, METHODS, compress_truncation, compress_variational
 from .config import OptimizationConfig
 from .errors import InvalidInputError, SeqmpsError
-from .mps import Mps, from_state_vector, normalize
+from .mps import Mps
 from .seqgen import (
     CNOT,
     MODEL_KINDS,
@@ -366,9 +366,8 @@ def cmd_cnot_test(args, failures: list) -> tuple[list[dict], dict | None]:
             above += 1
 
     # Product states need no entangler at all, so CNOT + locals must manage.
-    psi = np.zeros(2**n, dtype=complex)
-    psi[0] = 1.0
-    _, product_report = optimize(p0, normalize(from_state_vector(psi)), cfg)
+    e0 = np.array([1.0, 0.0]).reshape(2, 1, 1)
+    _, product_report = optimize(p0, Mps([e0] * n, [1.0], [1.0]), cfg)
 
     _check(failures, above == 0, "cnot_fails_some_target", count=count, **{"above_1e-3": above})
     _check(
@@ -444,13 +443,17 @@ def main(argv=None) -> int:
         _write_status(args.command, "error", error=type(exc).__name__, message=str(exc))
         return 2
 
-    if fmt == "csv":
-        _write_output(_csv_text(rows), args.out)
-        if summary is not None and args.out is not None:
-            with open(args.out + ".summary.json", "w") as fh:
-                json.dump(_doc(args.command, summary=summary), fh, indent=2)
-    else:
-        _write_output(_json_text(args.command, rows, summary), args.out)
+    try:
+        if fmt == "csv":
+            _write_output(_csv_text(rows), args.out)
+            if summary is not None and args.out is not None:
+                with open(args.out + ".summary.json", "w") as fh:
+                    json.dump(_doc(args.command, summary=summary), fh, indent=2)
+        else:
+            _write_output(_json_text(args.command, rows, summary), args.out)
+    except OSError as exc:  # --out or its .summary.json could not be written
+        _write_status(args.command, "error", error=type(exc).__name__, message=str(exc))
+        return 2
 
     if failures:
         _write_status(args.command, "failed", failures=failures)

@@ -1,8 +1,8 @@
 """Bond-dimension compression of matrix product states.
 
-Both routes take a normalized left-canonical target and a bond cap d_prime
-and return a normalized left-canonical approximation with every bond at most
-d_prime, plus a report.  The error measure throughout is the squared
+Both routes take a normalized closed target, in any gauge, and a bond cap
+d_prime and return a normalized left-canonical approximation with every bond
+at most d_prime, plus a report.  The error measure throughout is the squared
 distance
 
     error = || |target> - |trial> ||^2 = 2 (1 - Re <target|trial>)
@@ -27,16 +27,19 @@ down, and folds each passed site into the environment behind it.  The
 contractions are the kernels of ``mps``; ``above`` is stored conjugated (see
 the ``mps`` module docstring).
 
-The environments persist across half-sweeps.  ``above`` is folded once,
-after the start is gauged to site 1; from then on each walk reads the side
-ahead of it as the previous walk left it, and rebuilds the side behind it,
-each entry before it is read.  An up walk folds site k into ``below[k + 1]``
-after the last change to site k (later steps touch only sites above k), so
-when it ends every ``below`` entry equals a fresh fold of the current
-tensors, computed by the same kernel from the same operands: reusing it is
-exact, bit for bit.  The same holds for ``above`` after a down walk.  A
-half-sweep thus costs n - 1 transfers, where re-folding the side ahead
-first would cost 2 (n - 1).
+The start is the truncation result, whose sites are all isometric with unit
+boundaries: it is already in mixed-canonical gauge with its center at site 1,
+whatever the target's gauge (the target enters only through environments).
+
+The environments persist across half-sweeps.  ``above`` is folded once, from
+the start; from then on each walk reads the side ahead of it as the previous
+walk left it, and rebuilds the side behind it, each entry before it is read.
+An up walk folds site k into ``below[k + 1]`` after the last change to site
+k (later steps touch only sites above k), so when it ends every ``below``
+entry equals a fresh fold of the current tensors, computed by the same
+kernel from the same operands: reusing it is exact, bit for bit.  The same
+holds for ``above`` after a down walk.  A half-sweep thus costs n - 1
+transfers, where re-folding the side ahead first would cost 2 (n - 1).
 
 Initialized from the truncation result, the variational error can only
 improve on truncation.
@@ -44,13 +47,13 @@ improve on truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OptimizationConfig, non_increasing
+from .config import OptimizationConfig, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
-from .mps import GAUGE_LEFT, Mps, norm, overlap, truncate_per_matrix
+from .mps import Mps, norm, overlap, truncate_per_matrix
 from .mps import _absorb_boundaries, _center_down, _center_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA
 from .tolerances import (
@@ -111,14 +114,8 @@ class CompressionReport:
 def _check_target(target: Mps) -> None:
     if target.open_final:
         raise InvalidInputError("compression target must be a closed MPS")
-    if target.gauge_tag != GAUGE_LEFT:
-        raise InvalidInputError("compression target must be left-canonical")
     if abs(norm(target) - 1.0) > COMPRESS_TARGET_NORM_ATOL:
         raise InvalidInputError("compression target must be normalized")
-
-
-def _error_from_overlap(ov: complex) -> float:
-    return max(2.0 * (1.0 - ov.real), 0.0)
 
 
 def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionReport]:
@@ -138,7 +135,7 @@ def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionRepo
     return trial, CompressionReport(
         d_prime=d_prime,
         method=METHOD_TRUNCATION,
-        error=_error_from_overlap(ov),
+        error=2.0 * (1.0 - ov.real),
         fidelity=min(float(abs(ov)), FIDELITY_CLAMP),
     )
 
@@ -156,48 +153,28 @@ def compress_variational(
     """
     if cfg is None:
         cfg = OptimizationConfig()
-    _check_target(target)
-    if d_prime < 1:
-        raise InvalidInputError("d_prime must be >= 1")
-
-    start = truncate_per_matrix(target, d_prime)
-    ov0 = overlap(target, start)
-    err0 = _error_from_overlap(ov0)
-    if err0 <= COMPRESS_EXACT_ERROR:
-        return start, CompressionReport(
-            d_prime=d_prime,
-            method=METHOD_VARIATIONAL,
-            error=err0,
-            fidelity=min(float(abs(ov0)), FIDELITY_CLAMP),
-        )
+    start, report = compress_truncation(target, d_prime)
+    if report.error <= COMPRESS_EXACT_ERROR:
+        return start, replace(report, method=METHOD_VARIATIONAL)
 
     at = _absorb_boundaries(target)
-    ts = _absorb_boundaries(start)
-    # Absorbing a non-unit phi_f breaks the isometry of site n, and the first
-    # up half-sweep needs every site above the center isometric: move the
-    # center down to site 1 exactly, without changing the state.
+    ts = list(start.tensors)
     n = len(ts)
-    for k in range(n - 1, 0, -1):
-        _center_down(ts, k)
     below = [np.eye(1, dtype=complex)] + [None] * (n - 1)
     above = [None] * (n - 1) + [np.eye(1, dtype=complex)]
     for k in range(n - 1, 0, -1):
         above[k - 1] = _transfer_down(above[k], ts[k], at[k])
     history: list[float] = []
-    prev = err0
-    converged = False
-    sweeps = 0
     final_f = 0.0
-    for sweep in range(cfg.max_sweeps):
+
+    def full_sweep() -> float:
+        nonlocal final_f
         for up in (True, False):
             final_f = _half_sweep(at, ts, below, above, up)
             history.append(2.0 * (1.0 - min(final_f, FIDELITY_CLAMP)))
-        err = history[-1]
-        sweeps = sweep + 1
-        if abs(prev - err) <= cfg.tol * (1.0 + abs(err)):
-            converged = True
-            break
-        prev = err
+        return history[-1]
+
+    sweeps, converged = sweep_until_stalled(full_sweep, report.error, cfg)
     if not non_increasing(history):
         raise NumericalFailureError("the compression error history is not non-increasing")
 
@@ -207,9 +184,7 @@ def compress_variational(
     if fnorm < ZERO_NORM:
         raise InvalidInputError("variational trial collapsed to the zero state")
     ts[0] = ts[0] / fnorm
-    trial = Mps(
-        ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex), GAUGE_LEFT
-    )
+    trial = Mps(ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex))
     return trial, CompressionReport(
         d_prime=d_prime,
         method=METHOD_VARIATIONAL,

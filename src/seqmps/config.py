@@ -1,4 +1,4 @@
-"""Shared sweep/restart configuration and descent check of the two variational optimizers."""
+"""Shared sweep/restart configuration, stopping rule and descent check of the two variational optimizers."""
 
 from __future__ import annotations
 
@@ -14,6 +14,23 @@ from .tolerances import COMPRESS_MAX_SWEEPS, COMPRESS_TOL, GOOD_ENOUGH_COST, MON
 def non_increasing(history) -> bool:
     """True unless a cost history rises by more than MONOTONE_SLACK from one entry to the next."""
     return not np.any(np.diff(np.asarray(history, dtype=float)) > MONOTONE_SLACK)
+
+
+def sweep_until_stalled(full_sweep, cost: float, cfg, good_enough=None) -> tuple[int, bool]:
+    """Call full_sweep() until the cost stalls; returns (sweeps, converged).
+
+    cost is the cost before the first sweep and full_sweep() returns the cost
+    after each.  The run converges once a sweep ends at or below good_enough
+    (when given) or changes the cost by at most cfg.tol * (1 + |cost|); it
+    stops unconverged after cfg.max_sweeps sweeps.
+    """
+    for sweep in range(1, cfg.max_sweeps + 1):
+        prev, cost = cost, full_sweep()
+        if good_enough is not None and cost <= good_enough:
+            return sweep, True
+        if abs(prev - cost) <= cfg.tol * (1.0 + abs(cost)):
+            return sweep, True
+    return cfg.max_sweeps, False
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,6 @@ from .linalg import qr, svd
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import MAX_DENSE_QUBITS, RANK_RTOL, ZERO_NORM
 
-GAUGE_NONE = "none"
-GAUGE_LEFT = "left-canonical"
-
-
 class Mps:
     """Immutable matrix-product state (see module docstring for conventions).
 
@@ -80,12 +76,11 @@ class Mps:
         tensors: per-site arrays of shape (2, D_k, D_{k-1}).
         phi_i: right boundary vector, length D_0.
         phi_f: left boundary ket, length D_n, or None for an open final bond.
-        gauge_tag: "none" or "left-canonical".
     """
 
-    __slots__ = ("tensors", "phi_i", "phi_f", "gauge_tag")
+    __slots__ = ("tensors", "phi_i", "phi_f")
 
-    def __init__(self, tensors, phi_i, phi_f, gauge_tag: str = GAUGE_NONE):
+    def __init__(self, tensors, phi_i, phi_f):
         tensors = [np.array(t, dtype=complex) for t in tensors]
         if not tensors:
             raise InvalidInputError("an MPS needs at least one site")
@@ -113,8 +108,6 @@ class Mps:
                 raise InvalidInputError("phi_f has non-finite entries")
         if not np.all(np.isfinite(phi_i)):
             raise InvalidInputError("phi_i has non-finite entries")
-        if gauge_tag not in (GAUGE_NONE, GAUGE_LEFT):
-            raise InvalidInputError(f"unknown gauge_tag {gauge_tag!r}")
         for t in tensors:
             t.flags.writeable = False
         phi_i.flags.writeable = False
@@ -123,7 +116,6 @@ class Mps:
         object.__setattr__(self, "tensors", tuple(tensors))
         object.__setattr__(self, "phi_i", phi_i)
         object.__setattr__(self, "phi_f", phi_f)
-        object.__setattr__(self, "gauge_tag", gauge_tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mps is immutable")
@@ -149,11 +141,7 @@ class Mps:
 
     def with_phi_f(self, phi_f) -> "Mps":
         """Same tensors with the final boundary replaced (closes an open MPS)."""
-        return Mps(self.tensors, self.phi_i, phi_f, self.gauge_tag)
-
-    def site(self, k: int) -> np.ndarray:
-        """Tensor of site k (1-based)."""
-        return self.tensors[k - 1]
+        return Mps(self.tensors, self.phi_i, phi_f)
 
     def to_json(self) -> str:
         doc = {
@@ -163,19 +151,19 @@ class Mps:
             "tensors": [complex_to_pairs(t) for t in self.tensors],
             "phi_i": complex_to_pairs(self.phi_i),
             "phi_f": None if self.phi_f is None else complex_to_pairs(self.phi_f),
-            "gauge_tag": self.gauge_tag,
         }
         return json.dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "Mps":
+        """Inverse of to_json; a "gauge_tag" key left by older versions is ignored."""
+
         def build(doc):
             phi_f = doc["phi_f"]
             return Mps(
                 [pairs_to_complex(t) for t in doc["tensors"]],
                 pairs_to_complex(doc["phi_i"]),
                 None if phi_f is None else pairs_to_complex(phi_f),
-                doc["gauge_tag"],
             )
 
         return load_document(text, build)
@@ -269,7 +257,7 @@ def from_state_vector(psi, max_bond: int | None = None) -> Mps:
         work = u[:, :r] * s[:r]
     tensors.reverse()
     phi_i = work.reshape(-1)  # leftover scalar, length 1
-    return Mps(tensors, phi_i, np.ones(1, dtype=complex), GAUGE_LEFT)
+    return Mps(tensors, phi_i, np.ones(1, dtype=complex))
 
 
 def to_state_vector(m: Mps) -> np.ndarray:
@@ -304,7 +292,7 @@ def normalize(m: Mps) -> Mps:
     nm = norm(m)
     if nm < ZERO_NORM:
         raise DegenerateStateError("cannot normalize a (numerically) zero state")
-    return Mps(m.tensors, m.phi_i / nm, m.phi_f, m.gauge_tag)
+    return Mps(m.tensors, m.phi_i / nm, m.phi_f)
 
 
 def canonicalize_left(m: Mps) -> Mps:
@@ -332,7 +320,7 @@ def canonicalize_left(m: Mps) -> Mps:
         carry = s[:r, None] * vdag[:r]
     new_tensors.reverse()
     phi_i = carry @ m.phi_i
-    return Mps(new_tensors, phi_i, m.phi_f, GAUGE_LEFT)
+    return Mps(new_tensors, phi_i, m.phi_f)
 
 
 def truncate_per_matrix(m: Mps, keep: int) -> Mps:
@@ -343,14 +331,12 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
     downward sweep then splits each stacked matrix [A^0; A^1] by SVD; at
     that moment its singular values are exactly the Schmidt coefficients of
     the bond below, so keeping the ``keep`` largest is the optimal local
-    rank reduction.  Requires a left-canonical closed input; the result is
-    left-canonical, normalized, with trivial boundary vectors and all bond
-    dimensions <= keep.
+    rank reduction.  The input must be closed, in any gauge: the LQ pass
+    fixes it.  The result is left-canonical, normalized, with trivial
+    boundary vectors and all bond dimensions <= keep.
     """
     if keep < 1:
         raise InvalidInputError(f"keep must be >= 1, got {keep}")
-    if m.gauge_tag != GAUGE_LEFT:
-        raise InvalidInputError("truncate_per_matrix requires a left-canonical MPS")
     _require_closed(m, "truncate_per_matrix")
     ts = _absorb_boundaries(m)
     # Upward LQ pass: rows become orthonormal, the norm collects at the top.
@@ -370,4 +356,4 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
     u, s, vdag = svd(stacked)
     # Keeping the top singular direction normalizes; vdag preserves phase.
     ts[0] = (u[:, :1] * vdag[0, 0]).reshape(2, t.shape[1], 1)
-    return Mps(ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex), GAUGE_LEFT)
+    return Mps(ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex))

@@ -55,10 +55,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OptimizationConfig, non_increasing
+from .config import OptimizationConfig, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, schur
-from .mps import GAUGE_LEFT, Mps, _fold_up, _transfer_down, _transfer_up
+from .mps import Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
     ARGMAX_CURVATURE_ATOL,
@@ -524,7 +524,7 @@ def simulate(p: Protocol) -> Mps:
     ancilla state, and the final ancilla index is left open (phi_f = None);
     the joint state always has norm 1.
     """
-    return Mps(_sites(p, p._params), p.phi_i, None, GAUGE_LEFT)
+    return Mps(_sites(p, p._params), p.phi_i, None)
 
 
 @dataclass(frozen=True)
@@ -838,31 +838,23 @@ def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
 def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
     """Alternate up/down half-sweeps until the cost stalls."""
     st.history.append(st.cost(st.v_sites))
-    prev = st.history[-1]
-    sweeps = 0
-    converged = False
     snaps = [_snapshot(st)]
     # The kept tails stay valid until an extrapolation moves the sites.
     lefts, tails = [None] * st.n, _fold_tails(st)
-    for sweep in range(cfg.max_sweeps):
+
+    def full_sweep() -> float:
+        nonlocal tails
         _sweep_once(st, lefts, tails, up=True)
         cost = _sweep_once(st, lefts, tails, up=False)
         extrapolated = _extrapolate_sweep(st, snaps, cost)
         if extrapolated < cost:
             tails = _fold_tails(st)
-        cost = extrapolated
         snaps.append(_snapshot(st))
         if len(snaps) > _EXTRAP_MEMORY:
             snaps.pop(0)
-        sweeps = sweep + 1
-        if cfg.good_enough is not None and cost <= cfg.good_enough:
-            converged = True
-            break
-        if abs(prev - cost) <= cfg.tol * (1.0 + abs(cost)):
-            converged = True
-            break
-        prev = cost
-    return sweeps, converged
+        return extrapolated
+
+    return sweep_until_stalled(full_sweep, st.history[-1], cfg, cfg.good_enough)
 
 
 def _randomized(p: Protocol, rng: np.random.Generator) -> Protocol:

@@ -14,11 +14,6 @@ GATE_UNITARITY_ATOL = 1e-8    # a fixed entangling gate given to a Protocol or b
 # Rank decisions: singular values below RANK_RTOL * s_max are treated as zero.
 RANK_RTOL = 1e-12
 
-# MPS gauge and reconstruction guarantees.
-ISOMETRY_ATOL = 1e-10         # per-site isometry residual of a left-canonical MPS
-RECONSTRUCTION_ATOL = 1e-10   # round-trip state-vector error, max-norm
-NORM_ATOL = 1e-10             # norm of a normalized MPS is 1 within this
-
 # Monotone sweep assertions (exact local minimization plus roundoff).
 MONOTONE_SLACK = 1e-12
 

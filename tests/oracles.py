@@ -36,6 +36,15 @@ def dense_from_mps(m) -> np.ndarray:
     return out
 
 
+def isometry_residual(m) -> float:
+    """Largest deviation of sum_i A^{i dag} A^{i} from the identity over the sites of m."""
+    worst = 0.0
+    for t in m.tensors:
+        stacked = t.reshape(2 * t.shape[1], t.shape[2])
+        worst = max(worst, np.abs(stacked.conj().T @ stacked - np.eye(t.shape[2])).max())
+    return worst
+
+
 def dense_generator(model, params) -> np.ndarray:
     """Two-body generator from raw Kronecker products of Pauli matrices."""
     p = np.asarray(params, dtype=float).reshape(-1)
@@ -207,14 +216,14 @@ def exact_protocol_from_mps(target, seqmps):
     couplings back off the principal logarithm.  The resulting protocol
     reaches fidelity 1 with all qubits initialized in |0>.
     """
-    if target.gauge_tag != seqmps.GAUGE_LEFT or target.open_final:
+    if target.open_final or isometry_residual(target) > 1e-10:
         raise ValueError("need a closed left-canonical target")
     if target.max_bond > 2:
         raise ValueError("ancilla dimension 2 caps the reachable bond at 2")
     n = target.n
     couplings = np.zeros((n, 16))
     for k in range(1, n + 1):
-        t = target.site(k)
+        t = target.tensors[k - 1]
         du, dl = t.shape[1], t.shape[2]
         block = np.zeros((4, dl), dtype=complex)
         block[: 2 * du] = t.transpose(1, 0, 2).reshape(2 * du, dl)

@@ -160,6 +160,27 @@ def test_cnot_test_small(tmp_path):
     assert summary["product_state_one_minus_f"] < 1e-8
 
 
+def test_cnot_test_beyond_the_dense_cap(tmp_path):
+    # The product-state target is built site by site, never as a 2**n vector.
+    code, out = run_to_file(
+        tmp_path, "cnot40.json",
+        ["--command", "cnot-test", "--n", "40", "--count", "1", "--restarts", "1",
+         "--max-sweeps", "1"],
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["summary"]["product_state_one_minus_f"] < 1e-8
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    for fmt in ("json", "csv"):
+        code = main(["--command", "compress", "--n", "4", "--format", fmt,
+                     "--out", str(tmp_path / "missing" / "x.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["status"] == "error"
+        assert err["error"] == "FileNotFoundError"
+
+
 def test_stdout_output(capsys):
     code = main(["--command", "compress", "--target", "ghz", "--n", "4",
                  "--dprime", "2", "--format", "json"])

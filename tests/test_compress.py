@@ -15,7 +15,7 @@ import seqmps.compress as compress
 from seqmps import InvalidInputError, Mps, OptimizationConfig
 from seqmps.mps import _fold_up, _transfer_down
 
-from oracles import brute_force_fidelity, dense_from_mps, schmidt_values
+from oracles import brute_force_fidelity, dense_from_mps, isometry_residual, schmidt_values
 
 
 def dense_distance_sq(a, b):
@@ -53,7 +53,7 @@ def test_variational_report_contract():
     trial, report = seqmps.compress_variational(target, 3)
     assert report.method == "variational"
     assert trial.max_bond <= 3
-    assert trial.gauge_tag == seqmps.GAUGE_LEFT
+    assert isometry_residual(trial) < 1e-10
     assert abs(seqmps.norm(trial) - 1.0) < 1e-10
     assert abs(report.error - dense_distance_sq(target, trial)) < 1e-8
     history = np.asarray(report.sweep_history)
@@ -89,18 +89,44 @@ def test_variational_matches_brute_force(d_prime):
     assert report.fidelity >= bf - 1e-6
 
 
+def regauged(m, rng):
+    """The state of m with a random invertible matrix inserted, with its inverse, on every bond."""
+    dims = m.bond_dims
+    gauges = []
+    for dim in dims:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        gauges.append(g + 2.0 * np.sqrt(dim) * np.eye(dim))
+    inverses = [np.linalg.inv(g) for g in gauges]
+    tensors = [gauges[k + 1] @ t @ inverses[k] for k, t in enumerate(m.tensors)]
+    return Mps(tensors, gauges[0] @ m.phi_i, inverses[-1].conj().T @ m.phi_f)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    bond=st.integers(1, 6),
+    d_prime=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compression_is_gauge_invariant(n, bond, d_prime, seed):
+    target = seqmps.random_mps(n, bond, seed=seed)
+    gauged = regauged(target, np.random.default_rng(seed))
+    assert isometry_residual(gauged) > 1e-3
+    assert abs(seqmps.overlap(target, gauged) - 1.0) < 1e-12
+    for compress_fn in (seqmps.compress_truncation, seqmps.compress_variational):
+        _, ref = compress_fn(target, d_prime)
+        _, rep = compress_fn(gauged, d_prime)
+        assert abs(rep.error - ref.error) < 1e-12
+        assert rep.sweeps == ref.sweeps
+
+
 def test_compression_input_validation():
     target = seqmps.ghz_state(4)
     with pytest.raises(InvalidInputError):
         seqmps.compress_truncation(target, 0)
     with pytest.raises(InvalidInputError):
         seqmps.compress_variational(target, 0)
-    raw = Mps([np.ones((2, 1, 1)) / np.sqrt(2.0)] * 3, [1.0], [1.0])
-    with pytest.raises(InvalidInputError):
-        seqmps.compress_variational(raw, 1)
-    unnormalized = Mps(
-        [t.copy() for t in target.tensors], 2.0 * target.phi_i, target.phi_f, target.gauge_tag
-    )
+    unnormalized = Mps([t.copy() for t in target.tensors], 2.0 * target.phi_i, target.phi_f)
     with pytest.raises(InvalidInputError):
         seqmps.compress_variational(unnormalized, 2)
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqmps
-from seqmps import GAUGE_LEFT, GAUGE_NONE, CapacityError, InvalidInputError, Mps
+from seqmps import CapacityError, InvalidInputError, Mps
 from seqmps.mps import _fold_up, _transfer_down, _transfer_up
 
-from oracles import dense_from_mps, random_state, schmidt_values
+from oracles import dense_from_mps, isometry_residual, random_state, schmidt_values
 
 
 def random_raw_mps(n, bond, seed, closed=True):
@@ -29,11 +29,7 @@ def random_raw_mps(n, bond, seed, closed=True):
 
 
 def assert_left_canonical(m):
-    assert m.gauge_tag == GAUGE_LEFT
-    for t in m.tensors:
-        stacked = t.reshape(2 * t.shape[1], t.shape[2])
-        gram = stacked.conj().T @ stacked
-        assert np.abs(gram - np.eye(t.shape[2])).max() < 1e-10
+    assert isometry_residual(m) < 1e-10
 
 
 def test_constructor_validates_bonds_and_boundaries():
@@ -47,8 +43,6 @@ def test_constructor_validates_bonds_and_boundaries():
         Mps([good, np.zeros((2, 1, 3))], [1.0], [1.0])
     with pytest.raises(InvalidInputError):
         Mps([good], [1.0, 0.0], [1.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        Mps([good], [1.0], [1.0], gauge_tag="right")
     with pytest.raises(InvalidInputError):
         Mps([np.full((2, 2, 1), np.nan)], [1.0], [1.0, 0.0])
 
@@ -67,7 +61,7 @@ def test_shape_properties():
     assert m.bond_dims == [1, 2, 3, 2, 1]
     assert m.max_bond == 3
     assert not m.open_final
-    assert m.site(1).shape == (2, 2, 1)
+    assert m.tensors[0].shape == (2, 2, 1)
     open_m = random_raw_mps(4, 3, 0, closed=False)
     assert open_m.open_final
     closed = open_m.with_phi_f(np.ones(1))
@@ -185,14 +179,25 @@ def test_gauge_transformation_is_invisible():
     assert abs(abs(ov) - seqmps.norm(c0) * seqmps.norm(c1)) < 1e-8
 
 
+def test_mps_json_with_a_gauge_tag_still_loads():
+    # Older documents carry a "gauge_tag" key; it is ignored.
+    m = seqmps.ghz_state(3)
+    doc = json.loads(m.to_json())
+    for tag in ("left-canonical", "none"):
+        back = Mps.from_json(json.dumps({**doc, "gauge_tag": tag}))
+        assert all(np.array_equal(a, b) for a, b in zip(back.tensors, m.tensors))
+        assert np.array_equal(back.phi_i, m.phi_i)
+        assert np.array_equal(back.phi_f, m.phi_f)
+
+
 def test_mps_json_round_trip_is_exact():
     m = seqmps.canonicalize_left(random_raw_mps(4, 3, seed=13))
     back = Mps.from_json(m.to_json())
-    assert back.gauge_tag == m.gauge_tag
     assert all(np.array_equal(a, b) for a, b in zip(back.tensors, m.tensors))
     assert np.array_equal(back.phi_i, m.phi_i)
     assert np.array_equal(back.phi_f, m.phi_f)
     doc = json.loads(m.to_json())
+    assert "gauge_tag" not in doc
     for text in (
         '{"schema": "something-else"}',
         json.dumps({"schema": doc["schema"]}),  # missing fields
@@ -241,9 +246,13 @@ def test_truncation_output_contract():
         assert abs(seqmps.norm(t) - 1.0) < 1e-12
     with pytest.raises(InvalidInputError):
         seqmps.truncate_per_matrix(m, 0)
+    # Any gauge and norm is accepted: the input is re-gauged first.
     raw = random_raw_mps(4, 3, seed=1)
+    t = seqmps.truncate_per_matrix(raw, 2)
+    ref = seqmps.truncate_per_matrix(seqmps.normalize(seqmps.canonicalize_left(raw)), 2)
+    assert abs(abs(seqmps.overlap(ref, t)) - 1.0) < 1e-12
     with pytest.raises(InvalidInputError):
-        seqmps.truncate_per_matrix(raw, 2)
+        seqmps.truncate_per_matrix(random_raw_mps(4, 3, seed=1, closed=False), 2)
 
 
 def test_truncation_error_decreases_with_keep():
