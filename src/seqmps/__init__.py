@@ -23,7 +23,6 @@ from .errors import (
     SeqmpsError,
 )
 from .linalg import (
-    SvdResult,
     eigh,
     expm_hermitian,
     haar_unitary,
@@ -82,7 +81,6 @@ __all__ = [
     "OptimizationConfig",
     "Protocol",
     "SeqmpsError",
-    "SvdResult",
     "TargetSpec",
     "ancilla_operator_basis",
     "build_step_unitary",

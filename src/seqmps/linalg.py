@@ -2,19 +2,17 @@
 
 Every other module funnels its matrix work through the operations here:
 singular value and QR decompositions, Hermitian eigendecomposition, the
-Hermitian matrix exponential exp(-i * scale * h), the complex Schur form, and
-the closed-form unitary Procrustes update.  The heavy lifting is delegated to
-LAPACK via numpy.linalg; only schur needs scipy.linalg, which it imports on
-first use.  This module owns input validation, the error contract (a LAPACK
-failure becomes NumericalFailureError), and the conventions (descending
-singular values, ascending eigenvalues).
+Hermitian matrix exponential exp(-i h) and its inverse, the principal
+logarithm of a unitary, and the closed-form unitary Procrustes update.  The
+heavy lifting is delegated to LAPACK via numpy.linalg, and nothing else.
+This module owns input validation, the error contract (a LAPACK failure
+becomes NumericalFailureError), and the conventions (descending singular
+values, ascending eigenvalues).
 
 All functions return fresh arrays and treat their inputs as read-only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +28,10 @@ SIGMA = (
 )
 
 
-def _as_matrix(a, name: str, stacked: bool = False) -> np.ndarray:
-    """Complex 2-D array with finite entries; stacked also admits leading stack axes."""
-    a = np.asarray(a, dtype=complex)
+def _as_matrix(a, name: str, stacked: bool = False, keep_real: bool = False) -> np.ndarray:
+    """Finite 2-D array (stacked: or a stack of them), complex unless keep_real and a is real."""
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, float) if keep_real else complex, copy=False)
     if a.ndim != 2 and not (stacked and a.ndim > 2):
         what = "a 2-D array or a stack of them" if stacked else "a 2-D array"
         raise InvalidInputError(f"{name} must be {what}, got shape {a.shape}")
@@ -41,34 +40,18 @@ def _as_matrix(a, name: str, stacked: bool = False) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Economy SVD factors a = u @ diag(s) @ vdag.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy singular value decomposition a = u @ diag(s) @ vdag, as (u, s, vdag).
 
     u has orthonormal columns, vdag orthonormal rows, and s is real,
-    non-negative and sorted in descending order.  Ordering among exactly
-    degenerate singular values is implementation defined.
+    non-negative and sorted in descending order; ordering among exactly
+    degenerate singular values is implementation defined.  A stack of
+    matrices along leading axes is factored matrix by matrix, and the
+    factors are stacked alike.  Raises InvalidInputError for non-finite
+    input or fewer than two axes, and NumericalFailureError if the LAPACK
+    kernel does not converge.
     """
-
-    u: np.ndarray
-    s: np.ndarray
-    vdag: np.ndarray
-
-    def __iter__(self):
-        """Unpacks as (u, s, vdag), like numpy.linalg.svd."""
-        return iter((self.u, self.s, self.vdag))
-
-
-def svd(a) -> SvdResult:
-    """Economy singular value decomposition of a rectangular complex matrix.
-
-    A stack of matrices along leading axes is factored matrix by matrix,
-    and the factors are stacked alike.  Raises InvalidInputError for
-    non-finite input or fewer than two axes, and NumericalFailureError if
-    the LAPACK kernel does not converge.
-    """
-    u, s, vdag = _lapack_svd(_as_matrix(a, "a", stacked=True))
-    return SvdResult(u=u, s=s, vdag=vdag)
+    return _lapack_svd(_as_matrix(a, "a", stacked=True))
 
 
 def _lapack_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,64 +75,61 @@ def qr(a) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalFailureError(f"QR failed: {exc}") from exc
 
 
+def _as_hermitian(h, name: str) -> np.ndarray:
+    """Finite square matrix, Hermitian within HERMITICITY_ATOL (scaled by max(1, |h|)).
+
+    A real h stays real.  Raises InvalidInputError otherwise.
+    """
+    h = _as_matrix(h, name, keep_real=True)
+    if h.shape[0] != h.shape[1]:
+        raise InvalidInputError(f"{name} must be square, got shape {h.shape}")
+    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
+    if np.abs(h - h.conj().T).max(initial=0.0) > HERMITICITY_ATOL * scale:
+        raise InvalidInputError(f"{name} is not Hermitian within tolerance")
+    return h
+
+
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
     order and eigenvectors as the columns of a unitary matrix.  The input
-    must be Hermitian within HERMITICITY_ATOL (scaled by max(1, |h|)).
+    must be Hermitian within HERMITICITY_ATOL (scaled by max(1, |h|)); a
+    real symmetric h is factored as given, without a complex copy.
     """
-    h = _as_matrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise InvalidInputError(f"h must be square, got shape {h.shape}")
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if np.abs(h - h.conj().T).max(initial=0.0) > HERMITICITY_ATOL * scale:
-        raise InvalidInputError("h is not Hermitian within tolerance")
+    h = _as_hermitian(h, "h")
     try:
-        w, v = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigh did not converge: {exc}") from exc
-    return w, v
 
 
-def eigh_lowest(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The count lowest eigenpairs of a real symmetric matrix, ascending.
-
-    Fewer pairs when h has fewer rows.  numpy.linalg.eigh factors h as given
-    and leaves it untouched: no complex copy, no Hermiticity check (callers
-    build h symmetric).  A LAPACK failure raises NumericalFailureError.
-    """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidInputError(f"h must be square, got shape {h.shape}")
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigh did not converge: {exc}") from exc
-    return w[:count], v[:, :count]
-
-
-def schur(a) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form a = z @ t @ z^dag, returned as (t, z).
-
-    t is upper triangular with the eigenvalues on its diagonal, z unitary.
-    Errors as for svd: InvalidInputError for bad input, NumericalFailureError from LAPACK.
-    """
-    a = _as_matrix(a, "a")
-    # Imported on first use: scipy.linalg adds about 25 MB and 0.3 s or more
-    # to the package import, and only the full_pauli couplings need it.
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.schur(a, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"Schur decomposition failed: {exc}") from exc
-
-
-def expm_hermitian(h, scale: float = 1.0) -> np.ndarray:
-    """Unitary exp(-i * scale * h) for Hermitian h, via eigendecomposition."""
+def expm_hermitian(h) -> np.ndarray:
+    """Unitary exp(-i h) for Hermitian h, via eigendecomposition."""
     w, v = eigh(h)
-    phases = np.exp(-1j * scale * w)
-    return (v * phases) @ v.conj().T
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def logm_unitary(u) -> np.ndarray:
+    """Hermitian h with exp(-i h) = u for a unitary u: the inverse of expm_hermitian.
+
+    h = -q diag(angle(w)) q^dag for the eigenvalues w of u and an orthonormal
+    eigenbasis q, so its eigenvalues lie in [-pi, pi).  Raises
+    InvalidInputError for non-finite or non-square input and
+    NumericalFailureError from LAPACK.
+    """
+    u = _as_matrix(u, "u")
+    if u.shape[0] != u.shape[1]:
+        raise InvalidInputError(f"u must be square, got shape {u.shape}")
+    try:
+        w, v = np.linalg.eig(u)
+        q, _ = np.linalg.qr(v)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    # With v = q r, q^dag u q = r diag(w) r^-1 is a Schur form of u (Golub &
+    # Van Loan, Matrix Computations, 7.1), and a normal triangular matrix is
+    # diagonal: q is an orthonormal eigenbasis, which v is not within a cluster of w.
+    return -(q * np.angle(w)) @ q.conj().T
 
 
 def procrustes_unitary(env) -> np.ndarray:

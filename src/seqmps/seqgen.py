@@ -57,7 +57,14 @@ import numpy as np
 
 from .config import OptimizationConfig, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import SIGMA, expm_hermitian, haar_unitary, procrustes_unitary, schur
+from .linalg import (
+    SIGMA,
+    _as_hermitian,
+    expm_hermitian,
+    haar_unitary,
+    logm_unitary,
+    procrustes_unitary,
+)
 from .mps import Mps, _fold_up, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
@@ -145,10 +152,10 @@ def pauli_coefficients(h) -> np.ndarray:
     Returns the real (d^2, 4) coefficient table c with
     h = sum_{j,k} c[j, k] B_j x sigma_k (B_j from ancilla_operator_basis), so
     it inverts GeneratorModel("full_pauli", d).generator; at d = 2 the table
-    is over sigma_j x sigma_k.
+    is over sigma_j x sigma_k.  h must be finite and Hermitian, as for eigh.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 or h.shape[0] < 4:
+    h = _as_hermitian(h, "h")
+    if h.shape[0] % 2 or h.shape[0] < 4:
         raise InvalidInputError(
             f"pauli_coefficients expects a 2d x 2d matrix with d >= 2, got shape {h.shape}"
         )
@@ -205,6 +212,8 @@ class GeneratorModel:
             raise InvalidInputError(
                 f"{self.kind} takes {self.param_count} couplings, got {p.shape[0]}"
             )
+        if not np.isfinite(p).all():
+            raise InvalidInputError("couplings must be finite")
         return p
 
     def _bell_eigenvalues(self, p: np.ndarray) -> np.ndarray:
@@ -250,7 +259,8 @@ def build_step_unitary(
     factors are identities.  The result is unitary by construction.
     """
     if fixed_gate is not None:
-        core = _check_gate(fixed_gate, model.d_ancilla)
+        dim = 2 * model.d_ancilla
+        core = _check_unitary(fixed_gate, "fixed_gate", (dim, dim), GATE_UNITARITY_ATOL)
     elif params is None:
         raise InvalidInputError("params required when no fixed_gate is given")
     else:
@@ -285,8 +295,8 @@ def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
     return [(slot, _embed(slot, f, d)) for slot, f in slots.items() if f is not None]
 
 
-def _step_chain(p, params: dict, i: int) -> list:
-    """Factor chain of step i (0-based) of a Protocol or _SweepState with free parameters params.
+def _step_chain(p: Protocol, params: dict, i: int) -> list:
+    """Factor chain of step i (0-based) of protocol p with free parameters params.
 
     The core is params["core"][i], the entangler of params["couplings"][i], or the fixed gate.
     """
@@ -299,8 +309,8 @@ def _step_chain(p, params: dict, i: int) -> list:
     return _factors(core, **{slot: params[slot][i] for slot in _LOCAL_FIELDS if slot in params})
 
 
-def _sites(p, params: dict) -> list:
-    """Site tensors of every step of a Protocol or _SweepState with free parameters params."""
+def _sites(p: Protocol, params: dict) -> list:
+    """Site tensors of every step of protocol p with free parameters params."""
     d = p.model.d_ancilla
     chains = (_step_chain(p, params, i) for i in range(p.n))
     return [_step_isometry(_product(c), init, d) for c, init in zip(chains, p.qubit_inits)]
@@ -355,31 +365,21 @@ def _check_unit(vec, name: str, length: int) -> np.ndarray:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if v.shape[0] != length:
         raise InvalidInputError(f"{name} must have length {length}")
-    if abs(np.linalg.norm(v) - 1.0) > STATE_NORM_ATOL:
-        raise InvalidInputError(f"{name} must be normalized")
+    if not np.isfinite(v).all() or abs(np.linalg.norm(v) - 1.0) > STATE_NORM_ATOL:
+        raise InvalidInputError(f"{name} must be finite and normalized")
     return v
 
 
-def _check_unitary_stack(arr, name: str, n: int, dim: int):
-    if arr is None:
-        return None
-    a = np.asarray(arr, dtype=complex)
-    if a.shape != (n, dim, dim):
-        raise InvalidInputError(f"{name} must have shape ({n}, {dim}, {dim})")
-    eye = np.eye(dim)
-    for k in range(n):
-        if np.abs(a[k].conj().T @ a[k] - eye).max() > LOCAL_UNITARITY_ATOL:
-            raise InvalidInputError(f"{name}[{k}] is not unitary")
+def _check_unitary(a, name: str, shape: tuple, atol: float) -> np.ndarray:
+    """a as a complex array of the given shape whose matrices are unitary within atol."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
+    if np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(shape[-1])).max() > atol:
+        raise InvalidInputError(f"{name} is not unitary within {atol:g}")
     return a
-
-
-def _check_gate(gate, d: int) -> np.ndarray:
-    g = np.asarray(gate, dtype=complex)
-    if g.shape != (2 * d, 2 * d):
-        raise InvalidInputError(f"fixed_gate must be {2 * d}x{2 * d}")
-    if np.abs(g.conj().T @ g - np.eye(2 * d)).max() > GATE_UNITARITY_ATOL:
-        raise InvalidInputError("fixed_gate is not unitary")
-    return g
 
 
 @dataclass(frozen=True)
@@ -414,9 +414,12 @@ class Protocol:
                 raise InvalidInputError(
                     f"couplings must have shape ({self.n}, {self.model.param_count})"
                 )
+            if not np.isfinite(c).all():
+                raise InvalidInputError("couplings must be finite")
             object.__setattr__(self, "couplings", c)
         else:
-            object.__setattr__(self, "fixed_gate", _check_gate(self.fixed_gate, d))
+            gate = _check_unitary(self.fixed_gate, "fixed_gate", (2 * d,) * 2, GATE_UNITARITY_ATOL)
+            object.__setattr__(self, "fixed_gate", gate)
             if self.couplings is not None:
                 raise InvalidInputError("couplings and fixed_gate are exclusive")
         inits = np.asarray(self.qubit_inits, dtype=complex)
@@ -427,8 +430,10 @@ class Protocol:
         object.__setattr__(self, "qubit_inits", inits)
         object.__setattr__(self, "phi_i", _check_unit(self.phi_i, "phi_i", d))
         for name, dim in (("local_ancilla", d), ("local_qubit_pre", 2), ("local_qubit_post", 2)):
-            stack = _check_unitary_stack(getattr(self, name), name, self.n, dim)
-            object.__setattr__(self, name, stack)
+            stack = getattr(self, name)
+            if stack is not None:
+                stack = _check_unitary(stack, name, (self.n, dim, dim), LOCAL_UNITARITY_ATOL)
+                object.__setattr__(self, name, stack)
 
     @property
     def _params(self) -> dict:
@@ -610,17 +615,13 @@ class _SweepState:
 
     def __init__(self, p: Protocol, target: Mps):
         self.start = p
-        self.model = p.model
         self.d = p.model.d_ancilla
-        self.n = p.n
-        self.fixed_gate = p.fixed_gate
         self.params = {key: a.copy() for key, a in p._params.items()}
-        if "couplings" in self.params and self.model.kind not in _BELL_KINDS:
+        if "couplings" in self.params and p.model.kind not in _BELL_KINDS:
             couplings = self.params.pop("couplings")
-            self.params["core"] = np.stack([self.model.entangler(c) for c in couplings])
-        self.qubit_inits = p.qubit_inits
+            self.params["core"] = np.stack([p.model.entangler(c) for c in couplings])
         self.at, self.at_phi_i, self.at_phi_f = _target_arrays(target)
-        self.v_sites = _sites(self, self.params)
+        self.v_sites = _sites(p, self.params)
         self.history: list[float] = []
 
     def left_seed(self) -> np.ndarray:
@@ -698,7 +699,7 @@ def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> float:
     refolds the side behind it (from left_seed() going up) after each update,
     so every kept entry equals a fresh fold of the current sites, bit for bit.
     """
-    order = range(st.n) if up else range(st.n - 1, -1, -1)
+    order = range(st.start.n) if up else range(st.start.n - 1, -1, -1)
     if up:
         lefts[0] = st.left_seed()
     for k in order:
@@ -714,8 +715,8 @@ def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> float:
 
 def _fold_tails(st: _SweepState) -> list:
     """tails[k] for every step: the sites (k, n) folded down from tail_seed()."""
-    tails = [None] * (st.n - 1) + [st.tail_seed()]
-    for k in range(st.n - 1, 0, -1):
+    tails = [None] * (st.start.n - 1) + [st.tail_seed()]
+    for k in range(st.start.n - 1, 0, -1):
         tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
     return tails
 
@@ -729,17 +730,18 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
     partial-traced environment with phi_f frozen.  A fixed gate is left
     alone.  Every evaluation goes through the step map, built once.
     """
-    kmat = _step_map(l_env, st.at[i], t_env, st.qubit_inits[i])
-    chain = _step_chain(st, st.params, i)
+    p = st.start
+    kmat = _step_map(l_env, st.at[i], t_env, p.qubit_inits[i])
+    chain = _step_chain(p, st.params, i)
     u = _product(chain)
     v = kmat @ u.ravel()
     for j, (slot, _) in enumerate(chain):
-        if slot == "core" and st.fixed_gate is not None:
+        if slot == "core" and p.fixed_gate is not None:
             continue
         kf = _factor_map(chain, j, kmat)
         if slot == "core" and "couplings" in st.params:
-            _search_couplings(st.model, st.params["couplings"][i], kf)
-            chain[j] = (slot, st.model.entangler(st.params["couplings"][i]))
+            _search_couplings(p.model, st.params["couplings"][i], kf)
+            chain[j] = (slot, p.model.entangler(st.params["couplings"][i]))
         else:
             env = _frozen_env(kf, v)
             if slot != "core":
@@ -753,7 +755,7 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
         u = _product(chain)
         v = kmat @ u.ravel()
         st.history.append(2.0 * (1.0 - min(np.linalg.norm(v), FIDELITY_CLAMP)))
-    st.v_sites[i] = _step_isometry(u, st.qubit_inits[i], st.d)
+    st.v_sites[i] = _step_isometry(u, p.qubit_inits[i], st.d)
     return st.history[-1]
 
 
@@ -778,9 +780,7 @@ def _search_couplings(model: GeneratorModel, params: np.ndarray, kcore: np.ndarr
 
 def _log_couplings(u: np.ndarray) -> np.ndarray:
     """full_pauli couplings c with entangler(c) = u, from the principal logarithm of unitary u."""
-    tmat, z = schur(u)
-    # u = exp(log u) = exp(-i h) for the Hermitian h = i log u = -z diag(angles) z^dag.
-    return pauli_coefficients(-(z * np.angle(np.diagonal(tmat))) @ z.conj().T).ravel()
+    return pauli_coefficients(logm_unitary(u)).ravel()
 
 
 def _snapshot(st: _SweepState) -> dict:
@@ -815,7 +815,7 @@ def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
     for base in (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0]):
         powers = {k: base[k].conj().swapaxes(1, 2) @ c for k, c in cur.items() if k != "couplings"}
         if "couplings" in cur:
-            lo, hi = st.model.coupling_interval()
+            lo, hi = st.start.model.coupling_interval()
             width = hi - lo
             step = (cur["couplings"] - base["couplings"] + width / 2.0) % width - width / 2.0
         for beta in _EXTRAP_BETAS:
@@ -824,7 +824,7 @@ def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
             cand = {k: cur[k] @ p for k, p in powers.items()}
             if "couplings" in cur:
                 cand["couplings"] = lo + (cur["couplings"] + beta * step - lo) % width
-            sites = _sites(st, cand)
+            sites = _sites(st.start, cand)
             trial = st.cost(sites)
             if not trial < best[0]:
                 break
@@ -840,7 +840,7 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
     st.history.append(st.cost(st.v_sites))
     snaps = [_snapshot(st)]
     # The kept tails stay valid until an extrapolation moves the sites.
-    lefts, tails = [None] * st.n, _fold_tails(st)
+    lefts, tails = [None] * st.start.n, _fold_tails(st)
 
     def full_sweep() -> float:
         nonlocal tails

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .linalg import eigh_lowest
+from .linalg import eigh
 from .mps import Mps, canonicalize_left, from_state_vector, normalize
 from .tolerances import DEGENERACY_GAP, MAX_XXZ_QUBITS
 
@@ -178,8 +178,8 @@ def xxz_ground_vector(n: int, delta: float) -> np.ndarray:
     """
     lows, best = [], None
     for ones in range(n // 2 + 1):
-        vals, vecs = eigh_lowest(xxz_dense_hamiltonian(n, delta, ones), 2)
-        lows.extend(vals)
+        vals, vecs = eigh(xxz_dense_hamiltonian(n, delta, ones))
+        lows.extend(vals[:2])
         if best is None or vals[0] < best[0] - DEGENERACY_GAP * max(1.0, abs(best[0])):
             best = (vals[0], ones, vecs[:, 0])
     e0, e1 = sorted(lows)[:2]

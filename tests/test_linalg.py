@@ -18,13 +18,13 @@ def random_complex(shape, seed):
 @pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 6), (1, 5), (5, 1)])
 def test_svd_reconstructs_and_orders(shape):
     a = random_complex(shape, 7)
-    f = seqmps.svd(a)
-    assert np.abs(f.u @ np.diag(f.s) @ f.vdag - a).max() < 1e-12
-    assert np.all(np.diff(f.s) <= 0.0)
-    assert np.all(f.s >= 0.0)
-    k = f.s.size
-    assert np.abs(f.u.conj().T @ f.u - np.eye(k)).max() < 1e-12
-    assert np.abs(f.vdag @ f.vdag.conj().T - np.eye(k)).max() < 1e-12
+    u, s, vdag = seqmps.svd(a)
+    assert np.abs(u @ np.diag(s) @ vdag - a).max() < 1e-12
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.all(s >= 0.0)
+    k = s.size
+    assert np.abs(u.conj().T @ u - np.eye(k)).max() < 1e-12
+    assert np.abs(vdag @ vdag.conj().T - np.eye(k)).max() < 1e-12
 
 
 def test_svd_rejects_bad_input():
@@ -52,7 +52,7 @@ def test_eigh_rejects_non_hermitian():
 def test_expm_hermitian_matches_scipy_expm(scale):
     a = random_complex((5, 5), 11)
     h = a + a.conj().T
-    u = seqmps.expm_hermitian(h, scale=scale)
+    u = seqmps.expm_hermitian(scale * h)
     ref = scipy.linalg.expm(-1j * scale * h)
     assert np.abs(u - ref).max() < 1e-12
     assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-13
@@ -65,7 +65,8 @@ def test_procrustes_beats_random_unitaries():
     u = seqmps.procrustes_unitary(env)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
     attained = np.trace(u @ env).real
-    assert abs(attained - seqmps.svd(env).s.sum()) < 1e-12
+    _, s, _ = seqmps.svd(env)
+    assert abs(attained - s.sum()) < 1e-12
     rng = np.random.default_rng(17)
     for _ in range(1000):
         trial = seqmps.haar_unitary(4, rng)
@@ -118,6 +119,9 @@ def test_pauli_coefficients_invert_the_expansion():
     table = rng.standard_normal((9, 4))
     h = seqmps.GeneratorModel("full_pauli", 3).generator(table)
     assert np.abs(seqmps.pauli_coefficients(h) - table).max() < 1e-12
-    for bad in (np.eye(2), np.eye(5), np.ones((4, 6)), np.ones(16)):
+    # Wrong shapes, and what eigh refuses: a non-Hermitian h (whose Hermitian
+    # part is zero here) or a non-finite one.
+    nan = np.full((4, 4), np.nan)
+    for bad in (np.eye(2), np.eye(5), np.ones((4, 6)), np.ones(16), 1j * np.eye(4), nan):
         with pytest.raises(InvalidInputError):
             seqmps.pauli_coefficients(bad)

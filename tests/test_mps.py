@@ -190,13 +190,18 @@ def test_mps_json_with_a_gauge_tag_still_loads():
         assert np.array_equal(back.phi_f, m.phi_f)
 
 
-def test_mps_json_round_trip_is_exact():
-    m = seqmps.canonicalize_left(random_raw_mps(4, 3, seed=13))
-    back = Mps.from_json(m.to_json())
-    assert all(np.array_equal(a, b) for a, b in zip(back.tensors, m.tensors))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), bond=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       closed=st.booleans())
+def test_mps_json_round_trip_is_exact(n, bond, seed, closed):
+    m = random_raw_mps(n, bond, seed, closed)
+    saved = m.to_json()
+    back = Mps.from_json(saved)
+    assert back.to_json() == saved  # shortest-repr floats: equal text is equal bits
+    assert all(np.array_equal(a, b) for a, b in zip(back.tensors, m.tensors, strict=True))
     assert np.array_equal(back.phi_i, m.phi_i)
-    assert np.array_equal(back.phi_f, m.phi_f)
-    doc = json.loads(m.to_json())
+    assert back.phi_f is None if m.phi_f is None else np.array_equal(back.phi_f, m.phi_f)
+    doc = json.loads(saved)
     assert "gauge_tag" not in doc
     for text in (
         '{"schema": "something-else"}',
