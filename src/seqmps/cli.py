@@ -156,11 +156,12 @@ def _initial_protocol(model: GeneratorModel, n: int, variant: str) -> Protocol:
     ancilla in |1> instead (one excitation to distribute down the chain).
     couplings_only keeps the default |0> everywhere: with no local
     unitaries at all the excitationless start is frozen, which is the point
-    of that variant.  full_local starts from |0> since its qubit
-    pre-rotations unfreeze every step.  ion_xy pair-creation protocols
-    excite the last step's qubit (the final step can then erase the
-    leftover ancilla excitation).  A full_pauli core spans all of U(2d) and
-    absorbs U^A x 1 and 1 x U^B alike, so full_pauli has no local stack
+    of that variant.  full_local starts from |0> too, but that identity
+    start is a stationary point of the sweeps: its restart stalls within a
+    few sweeps and the random restarts do the work.  ion_xy pair-creation
+    protocols excite the last step's qubit (the final step can then erase
+    the leftover ancilla excitation).  A full_pauli core spans all of U(2d)
+    and absorbs U^A x 1 and 1 x U^B alike, so full_pauli has no local stack
     under any variant.
     """
     d = model.d_ancilla

@@ -22,10 +22,10 @@ is simply the target's environment there,
 
 and its Frobenius norm is the overlap (``below[k]`` holds sites [0, k),
 ``above[k]`` sites (k, n)).  A half-sweep walks the chain once (up: site 1
-to n, down: n to 1), moving the gauge center by LQ going up and by QR going
-down, and folds each passed site into the environment behind it.  The
-contractions are the kernels of ``mps``; ``above`` is stored conjugated (see
-the ``mps`` module docstring).
+to n, down: n to 1), keeps the isometric factor of each passed site's LQ
+(up) or QR (down) split and folds it into the environment behind it.  The
+kernels, the dropped split remainder and the conjugated storage of
+``above`` are explained in the ``mps`` module docstring.
 
 The start is the truncation result, whose sites are all isometric with unit
 boundaries: it is already in mixed-canonical gauge with its center at site 1,
@@ -54,7 +54,7 @@ import numpy as np
 from .config import OptimizationConfig, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
 from .mps import Mps, norm, overlap, truncate_per_matrix
-from .mps import _absorb_boundaries, _center_down, _center_up, _transfer_down, _transfer_up
+from .mps import _absorb_boundaries, _split_lq, _split_qr, _transfer_down, _transfer_up
 from .serialize import SCHEMA
 from .tolerances import (
     COMPRESS_EXACT_ERROR,
@@ -202,8 +202,8 @@ def _half_sweep(
     """One half-sweep of local updates; returns the last overlap value.
 
     The active site is set to its environment E (the exact local optimum),
-    then split to move the gauge center one site along the sweep direction,
-    and the passed site is folded into the environment behind it.  ||E||
+    then cut to the isometric factor of its split, the remainder dropped,
+    and folded into the environment behind it.  ||E||
     equals the overlap with the target, so it can only grow from one update
     to the next.  below and above are updated in place and kept for the next
     half-sweep (see the module docstring).
@@ -217,11 +217,11 @@ def _half_sweep(
         above[k - 1] = _transfer_down(above[k], ts[k], at[k])
 
     order = range(n) if up else range(n - 1, -1, -1)
-    center, fold = (_center_up, fold_below) if up else (_center_down, fold_above)
+    split, fold = (_split_lq, fold_below) if up else (_split_qr, fold_above)
     for k in order:
         ts[k] = above[k].conj() @ at[k] @ below[k]
         fnorm = np.linalg.norm(ts[k])
         if k != order[-1]:
-            center(ts, k)
+            ts[k] = split(ts[k])[0]
             fold(k)
     return float(fnorm)

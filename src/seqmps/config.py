@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,9 @@ class OptimizationConfig:
             raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol}")
         if self.good_enough is not None and not math.isfinite(self.good_enough):
             raise InvalidInputError(f"good_enough must be finite, got {self.good_enough}")
-        if self.max_sweeps < 1:
-            raise InvalidInputError("max_sweeps must be >= 1")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
+        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
+            raise InvalidInputError(f"restarts must be an integer >= 1, got {self.restarts!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -31,7 +31,7 @@ unit-norm boundaries it implies the state itself has norm 1.
 
 Contraction kernels
 -------------------
-The transfers, folds, boundary absorption and gauge shifts of ``compress``
+The transfers, folds, boundary absorption and gauge splits of ``compress``
 and ``seqgen`` live here, module-private.  Environments of <bra|ket> are
 indexed (ket bond, bra bond), and the bra enters conjugated:
 
@@ -49,13 +49,16 @@ matmuls over the physical index i:
 With ket bonds D and bra bonds D' each step costs O(D^2 D' + D D'^2), so a
 fold over n sites is O(n D^3) at D' = D, where the three-operand sum written
 above, done in one loop over all indices, would be O(n D^4).  Every other
-site contraction here (gauge shifts, boundary absorption, dense conversion)
+site contraction here (gauge pushes, boundary absorption, dense conversion)
 is one matmul as well.  Compression stores its down environments
 conjugated, with the trial as ket: its sum_i X^i^dag N A^i equals
 conj(_transfer_down(conj(N), X, A)) term for term, so its results stay
 bit-identical, which the transposed form with the target as ket would not.
-``_center_up`` (LQ) and ``_center_down`` (QR) move the gauge center of a
-list of boundary-absorbed site tensors one site up or down.
+``_split_lq`` (t^i = l @ site^i) and ``_split_qr`` (t^i = site^i @ r) return
+(isometric site, remainder).  ``truncate_per_matrix`` pushes l into the site
+above; ALS drops the remainder, because the next site is set to its
+environment, which never reads that site's value.  ``_canonicalize_down`` is
+the SVD sweep of both canonical forms.
 """
 
 from __future__ import annotations
@@ -194,26 +197,39 @@ def _fold_up(left, kets, bras):
 
 def _absorb_boundaries(m: Mps) -> list[np.ndarray]:
     """Tensors of m with phi_i and conj(phi_f) contracted in: the state with unit boundaries."""
-    ts = [t.copy() for t in m.tensors]
+    # C order, not a safety copy: matmul rounds differently on from_state_vector's strided sites.
+    ts = [np.ascontiguousarray(t) for t in m.tensors]
     ts[0] = (ts[0] @ m.phi_i)[:, :, None]
     ts[-1] = (m.phi_f.conj() @ ts[-1])[:, None, :]
     return ts
 
 
-def _center_up(ts: list[np.ndarray], k: int) -> None:
-    """Move the gauge center from site k to k + 1 (0-based) by an LQ split of site k."""
-    t = ts[k]
+def _split_lq(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LQ split t^i = l @ site^i: (site with orthonormal (left, i) rows, l)."""
     q, r = qr(t.transpose(1, 0, 2).reshape(t.shape[1], 2 * t.shape[2]).conj().T)
-    ts[k] = q.conj().T.reshape(-1, 2, t.shape[2]).transpose(1, 0, 2)
-    ts[k + 1] = ts[k + 1] @ r.conj().T
+    return q.conj().T.reshape(-1, 2, t.shape[2]).transpose(1, 0, 2), r.conj().T
 
 
-def _center_down(ts: list[np.ndarray], k: int) -> None:
-    """Move the gauge center from site k to k - 1 (0-based) by a QR split of site k."""
-    t = ts[k]
+def _split_qr(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR split t^i = site^i @ r: (left-canonical site, r)."""
     q, r = qr(t.reshape(2 * t.shape[1], t.shape[2]))
-    ts[k] = q.reshape(2, t.shape[1], -1)
-    ts[k - 1] = r @ ts[k - 1]
+    return q.reshape(2, t.shape[1], -1), r
+
+
+def _numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values above RANK_RTOL * s_max, at least 1."""
+    return max(int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0))), 1)
+
+
+def _canonicalize_down(ts: list, rank) -> None:
+    """Left-canonicalize ts[1:] top down in place: site k keeps rank(s) singular
+    vectors and pushes s vdag into ts[k - 1], so ts[0] ends up holding the norm."""
+    for k in range(len(ts) - 1, 0, -1):
+        t = ts[k]
+        u, s, vdag = svd(t.reshape(2 * t.shape[1], t.shape[2]))
+        r = rank(s)
+        ts[k] = u[:, :r].reshape(2, t.shape[1], r)
+        ts[k - 1] = (s[:r, None] * vdag[:r]) @ ts[k - 1]
 
 
 def from_state_vector(psi, max_bond: int | None = None) -> Mps:
@@ -246,8 +262,7 @@ def from_state_vector(psi, max_bond: int | None = None) -> Mps:
         rows, d_out = work.shape
         mat = work.reshape(2, rows // 2, d_out).transpose(1, 0, 2).reshape(rows // 2, 2 * d_out)
         u, s, vdag = svd(mat)
-        r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-        r = max(r, 1)
+        r = _numerical_rank(s)
         if max_bond is not None:
             r = min(r, max_bond)
         # vdag rows are the (i, left-bond) groups: reshaping gives the site
@@ -305,22 +320,9 @@ def canonicalize_left(m: Mps) -> Mps:
     bond dimensions never grow and redundant rank is trimmed.  The physical
     state is unchanged (exactly, up to floating-point error).
     """
-    carry = np.eye(m.tensors[-1].shape[1], dtype=complex)
-    new_tensors: list[np.ndarray] = []
-    for t in reversed(m.tensors):
-        w = carry @ t
-        rows = w.shape[0] * w.shape[1]
-        stacked = w.reshape(rows, w.shape[2])
-        u, s, vdag = svd(stacked)
-        if s.size == 0 or s[0] == 0.0:
-            r = 1
-        else:
-            r = max(int(np.count_nonzero(s > RANK_RTOL * s[0])), 1)
-        new_tensors.append(u[:, :r].reshape(2, w.shape[1], r))
-        carry = s[:r, None] * vdag[:r]
-    new_tensors.reverse()
-    phi_i = carry @ m.phi_i
-    return Mps(new_tensors, phi_i, m.phi_f)
+    ts = [m.phi_i, *m.tensors]
+    _canonicalize_down(ts, _numerical_rank)
+    return Mps(ts[1:], ts[0], m.phi_f)
 
 
 def truncate_per_matrix(m: Mps, keep: int) -> Mps:
@@ -341,16 +343,10 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
     ts = _absorb_boundaries(m)
     # Upward LQ pass: rows become orthonormal, the norm collects at the top.
     for k in range(len(ts) - 1):
-        _center_up(ts, k)
-    # Downward pass: SVD each stacked matrix, keep the largest singular
-    # values, push the remainder into the site below.
-    for k in range(len(ts) - 1, 0, -1):
-        t = ts[k]
-        stacked = t.reshape(2 * t.shape[1], t.shape[2])
-        u, s, vdag = svd(stacked)
-        r = min(keep, int(s.size))
-        ts[k] = u[:, :r].reshape(2, t.shape[1], r)
-        ts[k - 1] = (s[:r, None] * vdag[:r]) @ ts[k - 1]
+        ts[k], l = _split_lq(ts[k])
+        ts[k + 1] = ts[k + 1] @ l
+    # Downward pass: keep the largest singular values of each site.
+    _canonicalize_down(ts, lambda s: min(keep, s.size))
     t = ts[0]
     stacked = t.reshape(2 * t.shape[1], t.shape[2])
     u, s, vdag = svd(stacked)

@@ -256,16 +256,14 @@ def build_step_unitary(
 
     C is exp(-i Hbar(params)) or, when fixed_gate is given, that gate
     verbatim (params are then ignored and may be None).  Omitted local
-    factors are identities.  The result is unitary by construction.
+    factors are identities.  The factors are checked as a one-step Protocol
+    checks them, so the result is unitary.
     """
-    if fixed_gate is not None:
-        dim = 2 * model.d_ancilla
-        core = _check_unitary(fixed_gate, "fixed_gate", (dim, dim), GATE_UNITARITY_ATOL)
-    elif params is None:
-        raise InvalidInputError("params required when no fixed_gate is given")
-    else:
-        core = model.entangler(params)
-    return _product(_factors(core, ua, ub_pre, ub_post))
+    stack = lambda u: None if u is None else np.asarray(u)[None]
+    couplings = None if fixed_gate is not None or params is None else np.reshape(params, (1, -1))
+    p = Protocol(1, model, couplings, [[1.0, 0.0]], _basis_vec(model.d_ancilla),
+                 stack(ua), stack(ub_pre), stack(ub_post), fixed_gate)
+    return p.step_unitary(1)
 
 
 @functools.cache

@@ -16,6 +16,7 @@ diagonalizes it one block of fixed one-bit count at a time.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -48,10 +49,12 @@ class TargetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown target kind {self.kind!r}")
-        if self.n < 2:
-            raise InvalidInputError("targets need n >= 2")
-        if self.bond is not None and self.bond < 1:
-            raise InvalidInputError("bond must be >= 1 when given")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise InvalidInputError(f"targets need an integer n >= 2, got {self.n!r}")
+        if self.bond is not None and (not isinstance(self.bond, numbers.Integral) or self.bond < 1):
+            raise InvalidInputError(f"bond must be an integer >= 1 when given, got {self.bond!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
         if not math.isfinite(self.delta):
             raise InvalidInputError(f"delta must be finite, got {self.delta}")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqmps
@@ -35,17 +35,31 @@ def test_truncation_report_matches_dense_distance():
         assert report.sweep_history == []
 
 
-def test_variational_dominates_truncation():
-    targets = [
-        seqmps.xxz_ground(8, 1.0),
-        seqmps.random_mps(7, 6, seed=5),
-        seqmps.cluster_state(6),
-    ]
-    for target in targets:
-        for d_prime in (1, 2, 3):
-            _, tr = seqmps.compress_truncation(target, d_prime)
-            _, var = seqmps.compress_variational(target, d_prime)
-            assert var.error <= tr.error + 1e-12
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "xxz", "cluster"]),
+    n=st.integers(2, 8),
+    bond=st.integers(2, 6),
+    d_prime=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="xxz", n=8, bond=2, d_prime=1, seed=0)
+@example(kind="xxz", n=8, bond=2, d_prime=2, seed=0)
+@example(kind="xxz", n=8, bond=2, d_prime=3, seed=0)
+@example(kind="random", n=7, bond=6, d_prime=1, seed=5)
+@example(kind="random", n=7, bond=6, d_prime=2, seed=5)
+@example(kind="random", n=7, bond=6, d_prime=3, seed=5)
+@example(kind="cluster", n=6, bond=2, d_prime=1, seed=0)
+@example(kind="cluster", n=6, bond=2, d_prime=2, seed=0)
+@example(kind="cluster", n=6, bond=2, d_prime=3, seed=0)
+def test_variational_dominates_truncation(kind, n, bond, d_prime, seed):
+    spec = seqmps.TargetSpec(kind, n, bond=bond if kind == "random" else None, seed=seed)
+    target = seqmps.make_target(spec)
+    _, tr = seqmps.compress_truncation(target, d_prime)
+    trial, var = seqmps.compress_variational(target, d_prime)
+    assert var.error <= tr.error + 1e-12
+    assert abs(var.error - 2.0 * (1.0 - seqmps.overlap(target, trial).real)) < 1e-12
+    assert isometry_residual(trial) < 1e-10
 
 
 def test_variational_report_contract():

@@ -202,6 +202,18 @@ def test_build_step_unitary_fixed_gate():
         seqmps.build_step_unitary(model, None, fixed_gate=np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("slot", ["ua", "ub_pre", "ub_post"])
+@pytest.mark.parametrize("bad", ["non_unitary", "nan", "wrong_shape"])
+def test_build_step_unitary_checks_locals(slot, bad):
+    local = {
+        "non_unitary": 2.0 * np.eye(2),
+        "nan": np.full((2, 2), np.nan),
+        "wrong_shape": np.eye(3),
+    }[bad]
+    with pytest.raises(InvalidInputError):
+        seqmps.build_step_unitary(GeneratorModel("xy"), [0.3], **{slot: local})
+
+
 def test_fixed_gate_is_checked_when_the_protocol_is_built():
     model = GeneratorModel("xy")
     with pytest.raises(InvalidInputError):
@@ -679,12 +691,19 @@ def test_default_config_values():
     assert cfg.restarts == 5
     assert cfg.max_sweeps == 500
     assert cfg.tol == 1e-12
-    override = seqmps.default_config(restarts=2, seed=7)
+    override = seqmps.default_config(restarts=np.int64(2), seed=7)
     assert override.restarts == 2
     assert override.seed == 7
     with pytest.raises(InvalidInputError):
         seqmps.default_config(restarts=0)
-    for bad in ({"max_sweeps": 0}, {"tol": float("nan")}, {"good_enough": float("inf")}):
+    for bad in (
+        {"max_sweeps": 0},
+        {"tol": float("nan")},
+        {"good_enough": float("inf")},
+        {"max_sweeps": 2.5},
+        {"restarts": 2.5},
+        {"seed": 1.5},
+    ):
         with pytest.raises(InvalidInputError):
             seqmps.default_config(**bad)
 

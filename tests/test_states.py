@@ -224,8 +224,11 @@ def test_target_spec_validation():
         TargetSpec("bell", 4)
     with pytest.raises(InvalidInputError):
         TargetSpec("ghz", 1)
-    with pytest.raises(InvalidInputError):
-        TargetSpec("random", 4, bond=0)
+    for bad in ({"bond": 0}, {"bond": 1.5}, {"n": 2.5}, {"seed": 0.5}):
+        with pytest.raises(InvalidInputError):
+            TargetSpec(**{"kind": "random", "n": 4, **bad})
+    numpy_ints = TargetSpec("random", np.int64(3), bond=np.int32(2), seed=np.uint8(4))
+    assert seqmps.make_target(numpy_ints).n == 3
     for maker in (seqmps.ghz_state, seqmps.w_state, seqmps.cluster_state):
         with pytest.raises(InvalidInputError):
             maker(1)
