@@ -53,12 +53,11 @@ import numpy as np
 
 from .config import OptimizationConfig, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
-from .mps import Mps, norm, overlap, truncate_per_matrix
-from .mps import _absorb_boundaries, _split_lq, _split_qr, _transfer_down, _transfer_up
+from .mps import Mps, overlap, truncate_per_matrix
+from .mps import _absorb_boundaries, _require_normalized, _split_lq, _split_qr, _transfer_down, _transfer_up
 from .serialize import SCHEMA
 from .tolerances import (
     COMPRESS_EXACT_ERROR,
-    COMPRESS_TARGET_NORM_ATOL,
     FIDELITY_CLAMP,
     FIDELITY_SLACK,
     ZERO_NORM,
@@ -111,13 +110,6 @@ class CompressionReport:
         }
 
 
-def _check_target(target: Mps) -> None:
-    if target.open_final:
-        raise InvalidInputError("compression target must be a closed MPS")
-    if abs(norm(target) - 1.0) > COMPRESS_TARGET_NORM_ATOL:
-        raise InvalidInputError("compression target must be normalized")
-
-
 def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionReport]:
     """Per-site singular value truncation to bond dimension d_prime.
 
@@ -129,7 +121,7 @@ def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionRepo
     xxz_ground(12, 1.0) by one ulp moves the d_prime = 2 error from 0.30659
     to 0.30657 (up) or 0.30640 (down).
     """
-    _check_target(target)
+    _require_normalized(target, "compression target")
     trial = truncate_per_matrix(target, d_prime)
     ov = overlap(target, trial)
     return trial, CompressionReport(

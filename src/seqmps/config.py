@@ -17,19 +17,32 @@ def non_increasing(history) -> bool:
     return not np.any(np.diff(np.asarray(history, dtype=float)) > MONOTONE_SLACK)
 
 
-def sweep_until_stalled(full_sweep, cost: float, cfg, good_enough=None) -> tuple[int, bool]:
+def check_count(value, name: str, low: int) -> None:
+    """Refuse a value that is not an integer (numpy's included) of at least low."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def stalled(prev, cost, cfg, good_enough=None):
+    """Whether a sweep that took the cost from prev to cost ends its run, converged.
+
+    True once the sweep ends at or below good_enough (when given) or moves
+    the cost by at most cfg.tol * (1 + |cost|); elementwise on arrays.
+    """
+    done = np.abs(prev - cost) <= cfg.tol * (1.0 + np.abs(cost))
+    return done if good_enough is None else done | (cost <= good_enough)
+
+
+def sweep_until_stalled(full_sweep, cost: float, cfg) -> tuple[int, bool]:
     """Call full_sweep() until the cost stalls; returns (sweeps, converged).
 
     cost is the cost before the first sweep and full_sweep() returns the cost
-    after each.  The run converges once a sweep ends at or below good_enough
-    (when given) or changes the cost by at most cfg.tol * (1 + |cost|); it
-    stops unconverged after cfg.max_sweeps sweeps.
+    after each.  The run stops converged once stalled() holds, and
+    unconverged after cfg.max_sweeps sweeps.
     """
     for sweep in range(1, cfg.max_sweeps + 1):
         prev, cost = cost, full_sweep()
-        if good_enough is not None and cost <= good_enough:
-            return sweep, True
-        if abs(prev - cost) <= cfg.tol * (1.0 + abs(cost)):
+        if stalled(prev, cost, cfg):
             return sweep, True
     return cfg.max_sweeps, False
 
@@ -49,7 +62,9 @@ class OptimizationConfig:
     seed: non-negative root seed; per-restart streams are split from it
         deterministically.
     good_enough: skip remaining restarts once a run's final cost is at or
-        below this; None disables the shortcut.
+        below this (optimize sweeps restarts in lockstep batches, drops the
+        later ones from a batch then and starts no further batch); None
+        disables the shortcut.
     """
 
     tol: float = COMPRESS_TOL
@@ -63,9 +78,6 @@ class OptimizationConfig:
             raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol}")
         if self.good_enough is not None and not math.isfinite(self.good_enough):
             raise InvalidInputError(f"good_enough must be finite, got {self.good_enough}")
-        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
-            raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
-        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
-            raise InvalidInputError(f"restarts must be an integer >= 1, got {self.restarts!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_count(self.max_sweeps, "max_sweeps", 1)
+        check_count(self.restarts, "restarts", 1)
+        check_count(self.seed, "seed", 0)

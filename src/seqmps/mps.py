@@ -39,9 +39,10 @@ indexed (ket bond, bra bond), and the bra enters conjugated:
     _transfer_down(tail, ket, bra)[..., b, c] = sum_i tail[..., p, q] ket^i[p, b] conj(bra^i[q, c])
 
 Up environments hold the sites toward phi_i, down environments those toward
-phi_f; leading axes of a down environment pass through (``seqgen`` keeps the
-open ancilla index there).  Both are contracted pairwise, as chains of
-matmuls over the physical index i:
+phi_f.  Leading axes pass through, broadcast against the ket's: ``seqgen``
+keeps its restart axis there, and in a down environment the open ancilla
+index after it (its kets then carry a unit axis in that place).  Both are
+contracted pairwise, as chains of matmuls over the physical index i:
 
     _transfer_up:   (ket^i @ left) @ bra^i^dag, summed over i
     _transfer_down: (tail^T @ ket^i)^T @ conj(bra^i), summed over i
@@ -70,7 +71,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateStateError, InvalidInputError
 from .linalg import qr, svd
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
-from .tolerances import MAX_DENSE_QUBITS, RANK_RTOL, ZERO_NORM
+from .tolerances import MAX_DENSE_QUBITS, RANK_RTOL, TARGET_NORM_ATOL, ZERO_NORM
 
 class Mps:
     """Immutable matrix-product state (see module docstring for conventions).
@@ -177,9 +178,20 @@ def _require_closed(m: Mps, op: str) -> None:
         raise InvalidInputError(f"{op} requires a closed MPS (phi_f is open)")
 
 
+def _require_normalized(m: Mps, what: str) -> None:
+    """Refuse an open m, or one whose norm is off 1 by more than TARGET_NORM_ATOL."""
+    if m.open_final:
+        raise InvalidInputError(f"{what} must be a closed MPS")
+    if abs(norm(m) - 1.0) > TARGET_NORM_ATOL:
+        raise InvalidInputError(f"{what} must be normalized")
+
+
 def _transfer_up(left, ket, bra):
-    """One site of <bra|ket> folded onto an up environment (see module docstring)."""
-    return ((ket @ left) @ bra.conj().swapaxes(1, 2)).sum(axis=0)
+    """One site of <bra|ket> folded onto an up environment; leading axes ride along."""
+    if left.ndim > 2:
+        # Beside the ket's physical axis; a plain matrix keeps the cheaper 2-D matmul.
+        left = left[..., None, :, :]
+    return ((ket @ left) @ bra.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def _transfer_down(tail, ket, bra):

@@ -45,17 +45,22 @@ After every full sweep a safeguarded geodesic extrapolation (kept only when
 it lowers the cost) jumps along the slow near-linear mode that plain
 coordinate sweeps crawl down; it takes integer powers of each unitary slot's
 last move by projected squaring, with no eigendecomposition.
+
+Restarts sweep in lockstep batches along a leading restart axis, which
+every step kernel lets ride along; each row computes the bits it computes
+alone.  The batches and when a row leaves one are described at optimize.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OptimizationConfig, non_increasing, sweep_until_stalled
+from .config import OptimizationConfig, check_count, non_increasing, stalled
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
     SIGMA,
@@ -65,7 +70,7 @@ from .linalg import (
     logm_unitary,
     procrustes_unitary,
 )
-from .mps import Mps, _fold_up, _transfer_down, _transfer_up
+from .mps import Mps, _fold_up, _require_normalized, _transfer_down, _transfer_up
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
 from .tolerances import (
     ARGMAX_CURVATURE_ATOL,
@@ -184,8 +189,7 @@ class GeneratorModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidInputError(f"unknown model kind {self.kind!r}")
-        if self.d_ancilla < 2:
-            raise InvalidInputError("d_ancilla must be >= 2")
+        check_count(self.d_ancilla, "d_ancilla", 2)
         if self.d_ancilla != 2 and self.kind in _BELL_KINDS:
             raise InvalidInputError(f"kind {self.kind!r} requires d_ancilla = 2")
 
@@ -207,18 +211,21 @@ class GeneratorModel:
         return (-np.pi, np.pi)
 
     def _params(self, params) -> np.ndarray:
-        p = np.asarray(params, dtype=float).reshape(-1)
-        if p.shape[0] != self.param_count:
+        """Checked couplings; a Bell-diagonal kind keeps leading axes, a stack p[..., m]."""
+        p = np.asarray(params, dtype=float)
+        if p.ndim == 0 or self.kind not in _BELL_KINDS:
+            p = p.reshape(-1)
+        if p.shape[-1] != self.param_count:
             raise InvalidInputError(
-                f"{self.kind} takes {self.param_count} couplings, got {p.shape[0]}"
+                f"{self.kind} takes {self.param_count} couplings, got {p.shape[-1]}"
             )
         if not np.isfinite(p).all():
             raise InvalidInputError("couplings must be finite")
         return p
 
     def _bell_eigenvalues(self, p: np.ndarray) -> np.ndarray:
-        # sum_m p[m] * rows[m], accumulated in row order.
-        return (p[:, None] * _BELL_KINDS[self.kind][1]).sum(axis=0)
+        # sum_m p[..., m] * rows[m], accumulated in row order.
+        return (p[..., :, None] * _BELL_KINDS[self.kind][1]).sum(axis=-2)
 
     def generator(self, params) -> np.ndarray:
         """Hermitian Hbar(params) on ancilla x qubit."""
@@ -236,12 +243,13 @@ class GeneratorModel:
         """Unitary exp(-i Hbar(params)).
 
         The Bell-diagonal kinds exponentiate their eigenvalues in the shared
-        Bell basis; full_pauli goes through a fresh eigendecomposition.
+        Bell basis, and take a stack of coupling rows params[..., m] too;
+        full_pauli goes through a fresh eigendecomposition.
         """
         p = self._params(params)
         if self.kind not in _BELL_KINDS:
             return expm_hermitian(self.generator(p))
-        return (_BELL * np.exp(-1j * self._bell_eigenvalues(p))) @ _BELL.T
+        return (_BELL * np.exp(-1j * self._bell_eigenvalues(p))[..., None, :]) @ _BELL.T
 
 
 def build_step_unitary(
@@ -279,7 +287,8 @@ def _embed(slot: str, factor: np.ndarray, d: int) -> np.ndarray:
     if slot == "core":
         return factor
     a, b = (factor, _identity(2)) if slot == "ua" else (_identity(d), factor)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(2 * d, 2 * d)
+    kron = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return kron.reshape(*factor.shape[:-2], 2 * d, 2 * d)
 
 
 def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
@@ -288,13 +297,13 @@ def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
     The step unitary is the product of the chain left to right; absent
     locals are left out.
     """
-    d = core.shape[0] // 2
+    d = core.shape[-1] // 2
     slots = {"ua": ua, "ub_pre": ub_pre, "core": core, "ub_post": ub_post}
     return [(slot, _embed(slot, f, d)) for slot, f in slots.items() if f is not None]
 
 
 def _step_chain(p: Protocol, params: dict, i: int) -> list:
-    """Factor chain of step i (0-based) of protocol p with free parameters params.
+    """Factor chain of step i (0-based, or a slice of steps) of protocol p with free parameters params.
 
     The core is params["core"][i], the entangler of params["couplings"][i], or the fixed gate.
     """
@@ -308,37 +317,45 @@ def _step_chain(p: Protocol, params: dict, i: int) -> list:
 
 
 def _sites(p: Protocol, params: dict) -> list:
-    """Site tensors of every step of protocol p with free parameters params."""
-    d = p.model.d_ancilla
-    chains = (_step_chain(p, params, i) for i in range(p.n))
-    return [_step_isometry(_product(c), init, d) for c, init in zip(chains, p.qubit_inits)]
+    """Site tensors of every step of protocol p with free parameters params, built as one stack."""
+    if "couplings" in params and p.model.kind not in _BELL_KINDS:
+        params = {**params, "core": np.array([p.model.entangler(c) for c in params["couplings"]])}
+    u = _product(_step_chain(p, params, slice(None)))
+    u = np.broadcast_to(u, (p.n, *u.shape[-2:])) if u.ndim == 2 else u  # a bare fixed gate
+    return [_step_isometry(step_u, init, p.model.d_ancilla) for step_u, init in zip(u, p.qubit_inits)]
 
 
-def _product(chain: list) -> np.ndarray:
-    """Multiply a factor chain out, accumulating from the right: ua (pre (C post))."""
-    u = chain[-1][1]
-    for _, f in reversed(chain[:-1]):
-        u = f @ u
+def _product(chain: list, right=None):
+    """Multiply a factor chain out, accumulating from the right: ua (pre (C post)).
+
+    right, if given, is the product of the factors after the chain.
+    """
+    u = right
+    for _, f in reversed(chain):
+        u = f if u is None else f @ u
     return u
 
 
-def _factor_map(chain: list, j: int, kmat: np.ndarray) -> np.ndarray:
+def _factor_map(chain: list, j: int, kmat: np.ndarray, right=None) -> np.ndarray:
     """The step map with the factors L before and R after F = chain[j] folded in.
 
-    kmat[g] . vec(L F R) = (L^T kmat[g] R^T) . vec(F), so v = out @ F.ravel().
+    kmat[g] . vec(L F R) = (L^T kmat[g] R^T) . vec(F), so v = out @ F.ravel();
+    right is R multiplied out, when the caller has it.
     """
-    dim = chain[j][1].shape[0]
-    out = kmat.reshape(-1, dim, dim)
+    dim = chain[j][1].shape[-1]
+    out = kmat.reshape(*kmat.shape[:-1], dim, dim)
     if j > 0:
-        out = _product(chain[:j]).T @ out
-    if j + 1 < len(chain):
-        out = out @ _product(chain[j + 1 :]).T
-    return out.reshape(len(kmat), -1)
+        out = _product(chain[:j]).swapaxes(-1, -2)[..., None, :, :] @ out
+    right = _product(chain[j + 1 :]) if right is None else right
+    if right is not None:
+        out = out @ right.swapaxes(-1, -2)[..., None, :, :]
+    return out.reshape(*out.shape[:-2], -1)
 
 
 def _step_isometry(step_u: np.ndarray, init: np.ndarray, d: int) -> np.ndarray:
     """Contract the qubit init into a step unitary: (2, d, d) site tensor."""
-    return (step_u.reshape(2 * d * d, 2) @ init).reshape(d, 2, d).transpose(1, 0, 2)
+    lead = step_u.shape[:-2]
+    return (step_u.reshape(*lead, 2 * d * d, 2) @ init).reshape(*lead, d, 2, d).swapaxes(-3, -2)
 
 
 def _step_map(l_env, bra, t_env, init) -> np.ndarray:
@@ -346,17 +363,31 @@ def _step_map(l_env, bra, t_env, init) -> np.ndarray:
 
     K[g, (a i b j)] = sum_c t_env[g, a, c] bt[i, b, c] init[j], bt[i] = l_env @ bra^i^dag.
     """
-    d = l_env.shape[0]
-    bt = l_env @ bra.conj().swapaxes(1, 2)
-    tb = t_env.reshape(d * d, -1) @ bt.reshape(2 * d, -1).T
-    return (tb[:, :, None] * init).reshape(d, -1)
+    d = l_env.shape[-2]
+    bt = l_env[..., None, :, :] @ bra.conj().swapaxes(-1, -2)
+    tb = t_env.reshape(*t_env.shape[:-3], d * d, -1) @ bt.reshape(*bt.shape[:-3], 2 * d, -1).swapaxes(-1, -2)
+    return (tb[..., None] * init).reshape(*tb.shape[:-2], d, -1)
 
 
-def _frozen_env(kmat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Environment of U with phi_f frozen at v / ||v||: Re tr(U @ env) = Re(phi^dag kmat vec(U))."""
-    fnorm = np.linalg.norm(v)
-    phi = v / fnorm if fnorm > ZERO_NORM else _basis_vec(len(v))
-    return (phi.conj() @ kmat).reshape(2 * len(v), -1).T
+def _ancilla_vector(kmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """v = kmat @ vec(u), per leading index."""
+    return (kmat @ u.reshape(*u.shape[:-2], -1, 1))[..., 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """||v|| along the last axis, summed as np.linalg.norm sums a single vector (two real dots)."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _frozen_env(kmat: np.ndarray, v: np.ndarray, fnorm: np.ndarray) -> np.ndarray:
+    """Environment of U with phi_f frozen at v / fnorm: Re tr(U @ env) = Re(phi^dag kmat vec(U))."""
+    d = v.shape[-1]
+    ok = fnorm > ZERO_NORM
+    if ok.all():
+        phi = v / fnorm[..., None]
+    else:  # a zero vector freezes phi_f at the first basis vector
+        phi = np.where(ok[..., None], v, _basis_vec(d)) / np.where(ok, fnorm, 1.0)[..., None]
+    return (phi.conj()[..., None, :] @ kmat).reshape(*v.shape[:-1], 2 * d, -1).swapaxes(-1, -2)
 
 
 def _check_unit(vec, name: str, length: int) -> np.ndarray:
@@ -401,8 +432,7 @@ class Protocol:
     fixed_gate: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError("protocols need n >= 1")
+        check_count(self.n, "n", 1)
         d = self.model.d_ancilla
         if self.fixed_gate is None:
             if self.couplings is None:
@@ -499,6 +529,7 @@ def make_protocol(
     families start as identities so the initial protocol is a deterministic,
     well-defined starting point for optimization.
     """
+    check_count(n, "n", 1)
     d = model.d_ancilla
     if qubit_inits is None:
         qubit_inits = np.zeros((n, 2), dtype=complex)
@@ -590,6 +621,7 @@ def fidelity_vector(p: Protocol, target: Mps) -> np.ndarray:
 
 def fidelity(p: Protocol, target: Mps) -> FidelityReport:
     """Fidelity of a protocol against a closed, normalized target MPS."""
+    _require_normalized(target, "target")
     return _report(fidelity_vector(p, target), p.model.d_ancilla)
 
 
@@ -609,18 +641,28 @@ def _basis_vec(d: int) -> np.ndarray:
 
 
 class _SweepState:
-    """Mutable working copy of a protocol; params keeps a full_pauli core as its unitary stack."""
+    """Working copies of a batch of restarts, stacked along a restart axis.
 
-    def __init__(self, p: Protocol, target: Mps):
-        self.start = p
+    params are stacked step first, (n, R, ...), with a full_pauli core as its
+    unitary stack; v_sites holds one (R, 2, d, d) site stack per step, chain
+    every step's factor chain (see rechain) and history one cost history per
+    row.  Row j runs starts[rows[j]]; starts[0] gives the shared structure.
+    """
+
+    def __init__(self, starts: list, target: Mps):
+        p = self.start = starts[0]
         self.d = p.model.d_ancilla
-        self.params = {key: a.copy() for key, a in p._params.items()}
+        self.rows = np.arange(len(starts))
+        self.params = {key: np.stack([s._params[key] for s in starts], axis=1) for key in p._params}
         if "couplings" in self.params and p.model.kind not in _BELL_KINDS:
             couplings = self.params.pop("couplings")
-            self.params["core"] = np.stack([p.model.entangler(c) for c in couplings])
+            self.params["core"] = np.array([[p.model.entangler(c) for c in cs] for cs in couplings])
         self.at, self.at_phi_i, self.at_phi_f = _target_arrays(target)
-        self.v_sites = _sites(p, self.params)
-        self.history: list[float] = []
+        # Broadcast, because a bare fixed gate has no free factor to carry the restart axis.
+        shape = (len(starts), 2, self.d, self.d)
+        self.v_sites = [np.broadcast_to(site, shape) for site in _sites(p, self.params)]
+        self.rechain()
+        self.history = [[cost] for cost in self.cost(self.v_sites).tolist()]
 
     def left_seed(self) -> np.ndarray:
         return np.outer(self.start.phi_i, self.at_phi_i.conj())
@@ -630,46 +672,71 @@ class _SweepState:
         tm[np.arange(self.d), np.arange(self.d), :] = self.at_phi_f[None, :]
         return tm
 
-    def cost(self, sites: list) -> float:
-        """2 (1 - F) of the given sites."""
+    def cost(self, sites: list) -> np.ndarray:
+        """2 (1 - F) of the given site stacks, per row."""
         v = _fold_up(self.left_seed(), sites, self.at) @ self.at_phi_f
-        return 2.0 * (1.0 - min(float(np.linalg.norm(v)), FIDELITY_CLAMP))
+        return 2.0 * (1.0 - np.minimum(_norm(v), FIDELITY_CLAMP))
 
-    def to_protocol(self) -> Protocol:
-        couplings = self.params.get("couplings")
-        if "core" in self.params:
-            couplings = np.array([_log_couplings(u) for u in self.params["core"]])
-        stacks = {name: self.params.get(slot) for slot, name in _LOCAL_FIELDS.items()}
-        return replace(self.start, couplings=couplings, **stacks)
+    def costs(self) -> np.ndarray:
+        """Each row's latest cost."""
+        return np.array([h[-1] for h in self.history])
+
+    def rechain(self) -> None:
+        """Every step's factor chain as one chain of (n, R, 2d, 2d) stacks, a fixed gate broadcast."""
+        shape = (self.start.n, len(self.rows), 2 * self.d, 2 * self.d)
+        chain = _step_chain(self.start, self.params, slice(None))
+        self.chain = [(slot, f if f.ndim == 4 else np.broadcast_to(f, shape)) for slot, f in chain]
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Drop the rows where keep is False."""
+        self.rows = self.rows[keep]
+        self.params = {key: a[:, keep] for key, a in self.params.items()}
+        self.v_sites = [site[keep] for site in self.v_sites]
+        self.history = [h for h, kept in zip(self.history, keep) if kept]
+        self.rechain()
+
+
+def _to_protocol(p: Protocol, params: dict) -> Protocol:
+    """Protocol p with the free parameters of one run."""
+    couplings = params.get("couplings")
+    if "core" in params:
+        couplings = np.array([_log_couplings(u) for u in params["core"]])
+    stacks = {name: params.get(slot) for slot, name in _LOCAL_FIELDS.items()}
+    return replace(p, couplings=couplings, **stacks)
 
 
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 
 
-def _harmonic_sum(coef, ph):
-    """c0 + 2 Re(c1 e^{i ph}) + 2 Re(c2 e^{2i ph}) for coef = (c0, c1, c2)."""
+def _harmonic_sum(coef, ph, exp=np.exp):
+    """c0 + 2 Re(c1 e^{i ph}) + 2 Re(c2 e^{2i ph}) for coef = (c0, c1, c2); cmath.exp serves scalars."""
     c0, c1, c2 = coef
-    return c0.real + 2.0 * (c1 * np.exp(1j * ph)).real + 2.0 * (c2 * np.exp(2j * ph)).real
+    return c0.real + 2.0 * (c1 * exp(1j * ph)).real + 2.0 * (c2 * exp(2j * ph)).real
 
 
-def _coupling_argmax(coef, period: float) -> float:
-    """Exact maximizer of a coupling's squared overlap over one period.
+def _coupling_argmax(coef, period: float) -> np.ndarray:
+    """Exact maximizer of a coupling's squared overlap over one period, per element of coef.
 
     |v|^2 = _harmonic_sum(coef, 2 pi theta / period), with coef from the Gram
-    matrix of _coupling_harmonics; a 128-point grid brackets the maximum and
-    Newton steps refine it.
+    matrix of _coupling_harmonics; a 128-point grid brackets the maximum of
+    every element at once, and Newton steps refine each in Python scalar
+    arithmetic, which costs less than numpy calls on a few elements.
     """
-    _, c1, c2 = coef
-    ph = float(_PHASE_GRID[int(np.argmax(_harmonic_sum(coef, _PHASE_GRID)))])
-    for _ in range(4):
-        e1 = c1 * np.exp(1j * ph)
-        e2 = c2 * np.exp(2j * ph)
-        d1 = -2.0 * e1.imag - 4.0 * e2.imag
-        d2 = -2.0 * e1.real - 8.0 * e2.real
-        if d2 >= -ARGMAX_CURVATURE_ATOL:
-            break
-        ph -= d1 / d2
-    return float((ph % (2.0 * np.pi)) * period / (2.0 * np.pi))
+    c0, c1, c2 = (np.asarray(c) for c in coef)
+    grid = _harmonic_sum((c0[..., None], c1[..., None], c2[..., None]), _PHASE_GRID)
+    start = _PHASE_GRID[np.argmax(grid, axis=-1)]
+    out = []
+    for ph, a1, a2 in zip(start.ravel().tolist(), c1.ravel().tolist(), c2.ravel().tolist()):
+        for _ in range(4):
+            e1 = a1 * cmath.exp(1j * ph)
+            e2 = a2 * cmath.exp(2j * ph)
+            d1 = -2.0 * e1.imag - 4.0 * e2.imag
+            d2 = -2.0 * e1.real - 8.0 * e2.real
+            if d2 >= -ARGMAX_CURVATURE_ATOL:
+                break
+            ph -= d1 / d2
+        out.append(ph % (2.0 * np.pi) * period / (2.0 * np.pi))
+    return np.reshape(out, start.shape)
 
 
 def _coupling_harmonics(model: GeneratorModel, params: np.ndarray, m: int, kcore: np.ndarray):
@@ -681,16 +748,17 @@ def _coupling_harmonics(model: GeneratorModel, params: np.ndarray, m: int, kcore
     """
     period, rows = _BELL_KINDS[model.kind]
     others = params.copy()
-    others[m] = 0.0
-    w = (_BELL * (kcore.reshape(-1, 4, 4) @ _BELL)).sum(axis=-2)
-    u = w * np.exp(-1j * model._bell_eigenvalues(others))
-    gram = u.conj().T @ u
+    others[..., m] = 0.0
+    w = (_BELL * (kcore.reshape(*kcore.shape[:-1], 4, 4) @ _BELL)).sum(axis=-2)
+    u = w * np.exp(-1j * model._bell_eigenvalues(others))[..., None, :]
+    gram = u.conj().swapaxes(-1, -2) @ u
     harm = np.rint(np.subtract.outer(rows[m], rows[m]) * period / (2.0 * np.pi))
-    return tuple(gram[harm == h].sum() for h in range(3))
+    # A masked stack comes out transposed; in C order each row sums as it would alone.
+    return tuple(np.ascontiguousarray(gram[..., harm == h]).sum(axis=-1) for h in range(3))
 
 
-def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> float:
-    """One half-sweep (all steps, ascending or descending); returns last cost.
+def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> None:
+    """One half-sweep of every row (all steps, ascending or descending).
 
     lefts[k] folds steps [0, k) and tails[k] steps (k, n), kept across
     half-sweeps: a walk reads the side ahead as the last walk left it and
@@ -701,79 +769,86 @@ def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> float:
     if up:
         lefts[0] = st.left_seed()
     for k in order:
-        cost = _update_step(st, k, lefts[k], tails[k])
+        _update_step(st, k, lefts[k], tails[k])
         if k == order[-1]:
             break
         if up:
             lefts[k + 1] = _transfer_up(lefts[k], st.v_sites[k], st.at[k])
         else:
-            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
-    return cost
+            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k][:, None], st.at[k])
 
 
 def _fold_tails(st: _SweepState) -> list:
     """tails[k] for every step: the sites (k, n) folded down from tail_seed()."""
     tails = [None] * (st.start.n - 1) + [st.tail_seed()]
     for k in range(st.start.n - 1, 0, -1):
-        tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
+        tails[k - 1] = _transfer_down(tails[k], st.v_sites[k][:, None], st.at[k])
     return tails
 
 
-def _update_step(st: _SweepState, i: int, l_env, t_env) -> float:
+def _update_step(st: _SweepState, i: int, l_env, t_env) -> None:
     """Optimize the free factors of step i (0-based) in chain order against fixed environments.
 
-    Each update is a closed-form ascent step, so the cost history stays
-    non-increasing: Bell couplings take their exact argmax, and every unitary
-    slot, the full_pauli core included, the Procrustes solution of its
-    partial-traced environment with phi_f frozen.  A fixed gate is left
-    alone.  Every evaluation goes through the step map, built once.
+    Each update is a closed-form ascent step, so every row's cost history
+    stays non-increasing: Bell couplings take their exact argmax, and every
+    unitary slot, the full_pauli core included, the Procrustes solution of
+    its partial-traced environment with phi_f frozen.  A fixed gate is left
+    alone.  Every evaluation goes through the step map, built once.  Moved
+    factors are written into st.chain in place.
     """
+    if not st.params:
+        return  # a bare fixed gate
     p = st.start
     kmat = _step_map(l_env, st.at[i], t_env, p.qubit_inits[i])
-    chain = _step_chain(p, st.params, i)
-    u = _product(chain)
-    v = kmat @ u.ravel()
+    chain = [(slot, f[i]) for slot, f in st.chain]
+    # rights[j] is chain[j + 1:] multiplied out; the factors right of j move
+    # only after j does, so each serves slot j's map and its new product.
+    rights = [None] * len(chain)
+    for j in range(len(chain) - 2, -1, -1):
+        rights[j] = _product(chain[j + 1 : j + 2], rights[j + 1])
+    u = _product(chain[:1], rights[0])
+    v = _ancilla_vector(kmat, u)
+    fnorm = _norm(v)
     for j, (slot, _) in enumerate(chain):
         if slot == "core" and p.fixed_gate is not None:
             continue
-        kf = _factor_map(chain, j, kmat)
+        kf = _factor_map(chain, j, kmat, rights[j])
         if slot == "core" and "couplings" in st.params:
             _search_couplings(p.model, st.params["couplings"][i], kf)
-            chain[j] = (slot, p.model.entangler(st.params["couplings"][i]))
+            chain[j][1][...] = p.model.entangler(st.params["couplings"][i])
         else:
-            env = _frozen_env(kf, v)
+            env = _frozen_env(kf, v, fnorm)
             if slot != "core":
                 # Trace out the identity part of the factor: the qubit of
                 # U^A x 1, the ancilla of 1 x U^B.
-                axes = (1, 3) if slot == "ua" else (0, 2)
-                env = env.reshape(st.d, 2, st.d, 2).trace(axis1=axes[0], axis2=axes[1])
+                axes = (-3, -1) if slot == "ua" else (-4, -2)
+                env = env.reshape(*env.shape[:-2], st.d, 2, st.d, 2).trace(axis1=axes[0], axis2=axes[1])
             factor = procrustes_unitary(env)
             st.params[slot][i] = factor
-            chain[j] = (slot, _embed(slot, factor, st.d))
-        u = _product(chain)
-        v = kmat @ u.ravel()
-        st.history.append(2.0 * (1.0 - min(np.linalg.norm(v), FIDELITY_CLAMP)))
+            chain[j][1][...] = _embed(slot, factor, st.d)
+        u = _product(chain[: j + 1], rights[j])
+        v = _ancilla_vector(kmat, u)
+        fnorm = _norm(v)
+        for h, f in zip(st.history, fnorm.tolist()):
+            h.append(2.0 * (1.0 - min(f, FIDELITY_CLAMP)))
     st.v_sites[i] = _step_isometry(u, p.qubit_inits[i], st.d)
-    return st.history[-1]
 
 
 def _search_couplings(model: GeneratorModel, params: np.ndarray, kcore: np.ndarray) -> None:
     """Set each coupling of a Bell-diagonal core C with v = kcore @ C.ravel() to its exact argmax.
 
-    params is updated in place, one coupling at a time; a candidate is
-    accepted only if |v|^2 does not drop there, so the cost stays
-    non-increasing.
+    params (one row per restart) is updated in place, one coupling at a
+    time; a row's candidate is accepted only if its |v|^2 does not drop
+    there, so each row's cost stays non-increasing.
     """
     period = _BELL_KINDS[model.kind][0]
     for m in range(model.param_count):
-        coef = _coupling_harmonics(model, params, m, kcore)
-
-        def overlap2(theta):
-            return _harmonic_sum(coef, 2.0 * np.pi * theta / period)
-
-        cand = _coupling_argmax(coef, period)
-        if overlap2(cand) >= overlap2(params[m]):
-            params[m] = cand
+        coefs = _coupling_harmonics(model, params, m, kcore)
+        rows = zip(params[:, m].tolist(), _coupling_argmax(coefs, period).tolist(), *(c.tolist() for c in coefs))
+        for row, (old, cand, *coef) in enumerate(rows):
+            overlap2 = lambda theta: _harmonic_sum(coef, 2.0 * np.pi * theta / period, cmath.exp)
+            if overlap2(cand) >= overlap2(old):
+                params[row, m] = cand
 
 
 def _log_couplings(u: np.ndarray) -> np.ndarray:
@@ -787,31 +862,36 @@ def _snapshot(st: _SweepState) -> dict:
 
 def _projected_square(u: np.ndarray) -> np.ndarray:
     """Polar factor of u @ u (procrustes_unitary of its adjoint) for a unitary stack u."""
-    return procrustes_unitary((u @ u).conj().swapaxes(1, 2))
+    return procrustes_unitary((u @ u).conj().swapaxes(-1, -2))
 
 
 _EXTRAP_BETAS = tuple(2.0**k for k in range(9))  # 1, 2, 4, ..., 256
 _EXTRAP_MEMORY = 9
 
 
-def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
-    """Safeguarded extrapolation through recent parameter moves.
+def _extrapolate_sweep(st: _SweepState, snaps) -> np.ndarray:
+    """Safeguarded extrapolation through recent parameter moves; returns the rows that took one.
 
     Tries cur + beta * (cur - base) for doubling beta from two secant
     baselines, the previous sweep and the oldest retained snapshot (the longer
     one averages out the sweep-to-sweep zigzag and points down the slow
     valley), up to the first candidate that does not lower the cost, so the
-    history stays non-increasing.  Every unitary slot moves along its
-    geodesic, c delta^beta with delta = base^dag c: beta is an integer, so
-    delta is squared once per doubling and projected back onto the unitary
-    group (off it, roundoff makes a cost read low).  Bell couplings move
+    history stays non-increasing; a mask ends each row's loop on its own.
+    Every unitary slot moves along its geodesic, c delta^beta with
+    delta = base^dag c: beta is an integer, so delta is squared once per
+    doubling and projected back onto the unitary group (off it, roundoff
+    makes a cost read low).  Bell couplings move
     linearly, across their period.  Candidates are scored from their own
-    sites; the state is written once, from the best candidate, if any.
+    sites; each row ends with its best candidate, if any.  The state is
+    copied only when some rows, but not all, take a candidate.
     """
     cur = st.params
-    best = (cost, None, None)
+    best = st.costs()
+    taken = np.zeros(best.shape, dtype=bool)
+    new_params, new_sites = cur, st.v_sites
     for base in (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0]):
-        powers = {k: base[k].conj().swapaxes(1, 2) @ c for k, c in cur.items() if k != "couplings"}
+        going = np.ones(best.shape, dtype=bool)
+        powers = {k: base[k].conj().swapaxes(-1, -2) @ c for k, c in cur.items() if k != "couplings"}
         if "couplings" in cur:
             lo, hi = st.start.model.coupling_interval()
             width = hi - lo
@@ -824,35 +904,65 @@ def _extrapolate_sweep(st: _SweepState, snaps, cost: float) -> float:
                 cand["couplings"] = lo + (cur["couplings"] + beta * step - lo) % width
             sites = _sites(st.start, cand)
             trial = st.cost(sites)
-            if not trial < best[0]:
+            going &= trial < best
+            if not going.any():
                 break
-            best = (trial, cand, sites)
-    if best[1] is not None:
-        st.params, st.v_sites = best[1:]
-        st.history.append(best[0])
-    return best[0]
+            best, taken = np.where(going, trial, best), taken | going
+            if going.all():
+                new_params, new_sites = cand, sites
+                continue
+            if new_params is cur:
+                new_params = {key: a.copy() for key, a in cur.items()}
+                new_sites = [site.copy(order="K") for site in st.v_sites]
+            for k, a in cand.items():
+                new_params[k][:, going] = a[:, going]
+            for new, site in zip(new_sites, sites):
+                new[going] = site[going]
+    if taken.any():
+        st.params, st.v_sites = new_params, new_sites
+        st.rechain()
+        for j in np.flatnonzero(taken):
+            st.history[j].append(best[j])
+    return taken
 
 
-def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> tuple[int, bool]:
-    """Alternate up/down half-sweeps until the cost stalls."""
-    st.history.append(st.cost(st.v_sites))
+def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> list:
+    """Alternate up/down half-sweeps over every row in lockstep until each run stops.
+
+    Returns one (history, params, sweeps, converged) per row of st, or None
+    for a row dropped unrun.  A row leaves the batch, which is then
+    compacted, when config.stalled fires for it or at cfg.max_sweeps.  A row
+    that ends at or below cfg.good_enough takes the rows of every later
+    restart with it: run one at a time, those would never have started.
+    """
+    runs = [None] * len(st.rows)
     snaps = [_snapshot(st)]
     # The kept tails stay valid until an extrapolation moves the sites.
     lefts, tails = [None] * st.start.n, _fold_tails(st)
-
-    def full_sweep() -> float:
-        nonlocal tails
+    for sweep in range(1, cfg.max_sweeps + 1):
+        prev = st.costs()
         _sweep_once(st, lefts, tails, up=True)
-        cost = _sweep_once(st, lefts, tails, up=False)
-        extrapolated = _extrapolate_sweep(st, snaps, cost)
-        if extrapolated < cost:
+        _sweep_once(st, lefts, tails, up=False)
+        if _extrapolate_sweep(st, snaps).any():
             tails = _fold_tails(st)
         snaps.append(_snapshot(st))
         if len(snaps) > _EXTRAP_MEMORY:
             snaps.pop(0)
-        return extrapolated
-
-    return sweep_until_stalled(full_sweep, st.history[-1], cfg, cfg.good_enough)
+        cost = st.costs()
+        done = stalled(prev, cost, cfg, cfg.good_enough)
+        if sweep < cfg.max_sweeps and not done.any():
+            continue
+        for j in np.flatnonzero(done | (sweep == cfg.max_sweeps)):
+            params = {key: a[:, j].copy() for key, a in st.params.items()}
+            runs[st.rows[j]] = (st.history[j], params, sweep, bool(done[j]))
+        solved = st.rows[cost <= cfg.good_enough] if cfg.good_enough is not None else []
+        keep = ~done & (st.rows < min(solved, default=len(runs)))
+        if sweep == cfg.max_sweeps or not keep.any():
+            break
+        st.keep(keep)
+        tails = _fold_tails(st)
+        snaps[:] = [{key: a[:, keep] for key, a in snap.items()} for snap in snaps]
+    return runs
 
 
 def _randomized(p: Protocol, rng: np.random.Generator) -> Protocol:
@@ -882,39 +992,46 @@ def optimize(
 
     Sweeps step 1..n..1; per step, enabled local unitaries and a full_pauli
     core get Procrustes updates and Bell-diagonal couplings their exact
-    argmax (see module docstring).  cfg.restarts independent runs are
-    performed (the first from p0 itself, the rest from seeded random points)
-    and the best final fidelity wins.  Returns the optimized protocol and its
-    report.
+    argmax (see module docstring).  cfg.restarts independent runs, the first
+    from p0 itself and the rest from seeded random points, sweep in lockstep
+    batches: p0's run beside the first random start, then the rest only if
+    neither reaches cfg.good_enough (rows riding beside a run that solves are
+    wasted work; with good_enough None every run sweeps, all at once).  A
+    run leaves its batch when its own stopping rule fires (config.stalled,
+    or cfg.max_sweeps); once a run ends at or below cfg.good_enough, the
+    runs of later restarts leave with it.  The winner is the first run at or
+    below good_enough, else the lowest final cost (the earliest on a tie),
+    so the result, restarts_used included, is what the runs would give one
+    at a time.  The target must be closed and normalized.  Returns the
+    optimized protocol and its report.
     """
     if cfg is None:
         cfg = default_config()
     if target.n != p0.n:
         raise InvalidInputError(f"target has {target.n} sites, protocol has {p0.n}")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.restarts, 1))
+    _require_normalized(target, "target")
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    start = lambda r: p0 if r == 0 else _randomized(p0, np.random.default_rng(seeds[r]))
+    first = cfg.restarts if cfg.good_enough is None else min(2, cfg.restarts)
+    waves = (range(first), range(first, cfg.restarts))
+    runs = (run for wave in waves if wave
+            for run in _run_sweeps(_SweepState([start(r) for r in wave], target), cfg))
     best = None
-    restarts_used = 0
-    for r in range(cfg.restarts):
-        start = p0 if r == 0 else _randomized(p0, np.random.default_rng(seeds[r]))
-        st = _SweepState(start, target)
-        sweeps, converged = _run_sweeps(st, cfg)
-        cost = st.history[-1]
-        restarts_used = r + 1
-        if best is None or cost < best[0]:
-            best = (cost, st, sweeps, converged)
-        if cfg.good_enough is not None and best[0] <= cfg.good_enough:
+    for restarts_used, run in enumerate(runs, start=1):
+        if best is None or run[0][-1] < best[0][-1]:
+            best = run
+        if cfg.good_enough is not None and run[0][-1] <= cfg.good_enough:
             break
-    cost, st, sweeps, converged = best
-    if not non_increasing(st.history):
+    history, params, sweeps, converged = best
+    if not non_increasing(history):
         raise NumericalFailureError("the optimizer's cost history is not non-increasing")
-    p_opt = st.to_protocol()
+    p_opt = _to_protocol(p0, params)
     report = _report(
         fidelity_vector(p_opt, target),
         p_opt.model.d_ancilla,
-        history=st.history,
+        history=history,
         sweeps=sweeps,
         converged=converged,
         restarts_used=restarts_used,
     )
     return p_opt, report
-

@@ -10,6 +10,7 @@ UNITARITY_ATOL = 1e-12        # max |u^dag u - 1| accepted where a unitary is re
 STATE_NORM_ATOL = 1e-12       # single-system state vectors must be normalized to this
 LOCAL_UNITARITY_ATOL = 1e3 * UNITARITY_ATOL  # per-step local unitary stacks of a Protocol
 GATE_UNITARITY_ATOL = 1e-8    # a fixed entangling gate given to a Protocol or build_step_unitary
+TARGET_NORM_ATOL = 1e-8       # | ||target|| - 1 | accepted for a compression, fidelity or optimize target
 
 # Rank decisions: singular values below RANK_RTOL * s_max are treated as zero.
 RANK_RTOL = 1e-12
@@ -31,7 +32,6 @@ ZERO_NORM = 1e-300
 # Variational compression defaults.
 COMPRESS_TOL = 1e-10          # relative error-change convergence threshold
 COMPRESS_MAX_SWEEPS = 200
-COMPRESS_TARGET_NORM_ATOL = 1e-8  # | ||target|| - 1 | accepted for a compression target
 COMPRESS_EXACT_ERROR = 1e-12  # a start this close to the target is returned with zero sweeps
 
 # Sequential-generation optimizer defaults.

@@ -229,9 +229,10 @@ def test_non_monotone_optimizer_history_exits_2(monkeypatch, capsys):
     run_sweeps = seqgen._run_sweeps
 
     def rising(st, cfg):
-        out = run_sweeps(st, cfg)
-        st.history.append(st.history[-1] + 1e-6)
-        return out
+        runs = run_sweeps(st, cfg)
+        for history, *_ in filter(None, runs):
+            history.append(history[-1] + 1e-6)
+        return runs
 
     monkeypatch.setattr(seqgen, "_run_sweeps", rising)
     code = main(["--command", "generate", "--n", "3", "--restarts", "1", "--max-sweeps", "2"])

@@ -108,6 +108,10 @@ def test_generator_model_validation():
         GeneratorModel("xy", d_ancilla=1)
     with pytest.raises(InvalidInputError):
         GeneratorModel("xy", d_ancilla=3)
+    for bad in (2.5, "2", 2.0):
+        with pytest.raises(InvalidInputError):
+            GeneratorModel("full_pauli", bad)
+    assert GeneratorModel("full_pauli", np.int64(3)).param_count == 36
     assert GeneratorModel("xy").param_count == 1
     assert GeneratorModel("xxz").param_count == 2
     assert GeneratorModel("ion_xy").param_count == 1
@@ -254,6 +258,13 @@ def test_protocol_validation():
     with pytest.raises(InvalidInputError):
         Protocol(n=3, model=model, couplings=np.zeros((3, 1)), qubit_inits=inits,
                  phi_i=[1.0, 0.0], fixed_gate=CNOT)
+    for bad in (3.0, 2.5, "3"):
+        with pytest.raises(InvalidInputError):
+            Protocol(n=bad, model=model, couplings=np.zeros((3, 1)), qubit_inits=inits,
+                     phi_i=[1.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            seqmps.make_protocol(model, bad)
+    assert seqmps.make_protocol(model, np.int64(3)).n == 3
 
 
 PROTOCOL_FIELDS = ["couplings", "qubit_inits", "phi_i", "local_ancilla", "local_qubit_pre",
@@ -424,6 +435,14 @@ def test_fidelity_requires_matching_closed_target():
     open_target = seqmps.simulate(p)
     with pytest.raises(InvalidInputError):
         seqmps.fidelity(p, open_target)
+    # Scaling every site by 2 (or 1/2) gives a target of norm 8 (or 1/8).
+    target = seqmps.random_mps(3, 2, seed=1)
+    for scale in (2.0, 0.5):
+        scaled = seqmps.Mps([scale * t for t in target.tensors], target.phi_i, target.phi_f)
+        with pytest.raises(InvalidInputError):
+            seqmps.fidelity(p, scaled)
+        with pytest.raises(InvalidInputError):
+            seqmps.optimize(p, scaled, seqmps.default_config(max_sweeps=1, restarts=1))
 
 
 def test_exact_construction_reaches_bond_two_targets():
@@ -645,15 +664,49 @@ def test_cnot_with_locals_fails_some_targets():
     assert report.one_minus_f > 1e-3
 
 
+def restart_starts(p0, cfg):
+    """The start point of each of cfg.restarts runs: p0, then seeded random points."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    return [p0] + [seqgen._randomized(p0, np.random.default_rng(s)) for s in seeds[1:]]
+
+
 def test_optimize_respects_restart_budget():
-    target = seqmps.random_mps(3, 2, seed=33)
-    p0 = seqmps.make_protocol(GeneratorModel("xy"), 3, with_ancilla=True)
-    cfg = seqmps.default_config(seed=0, restarts=4, good_enough=None, max_sweeps=30)
+    # Of these four restarts the third is the first to reach good_enough (the
+    # fourth reaches it in the same sweep), so the fourth's run does not count.
+    target = seqmps.w_state(4)
+    p0 = seqmps.make_protocol(GeneratorModel("xy"), 4, phi_i=[0.0, 1.0], with_ancilla=True)
+    cfg = seqmps.default_config(seed=5, restarts=4, good_enough=None, max_sweeps=30)
     _, report = seqmps.optimize(p0, target, cfg)
     assert report.restarts_used == 4
-    cfg_short = seqmps.default_config(seed=0, restarts=4, max_sweeps=30)
+    cfg_short = dataclasses.replace(cfg, good_enough=seqmps.default_config().good_enough)
     _, early = seqmps.optimize(p0, target, cfg_short)
-    assert early.restarts_used <= 4
+    # One plus the index of the first restart whose lone run reaches good_enough.
+    lone = dataclasses.replace(cfg_short, restarts=1)
+    costs = [seqmps.optimize(s, target, lone)[1].cost for s in restart_starts(p0, cfg_short)]
+    first = next(r for r, c in enumerate(costs) if c <= cfg_short.good_enough)
+    assert early.restarts_used == first + 1 == 3
+
+
+def test_later_restarts_wait_for_the_first_batch(monkeypatch):
+    # p0's run and the first random start sweep first; the other restarts are
+    # built and swept, as one more batch, only if neither reaches good_enough.
+    # Without good_enough every restart runs, so they all sweep at once.
+    batches, built = [], []
+    run_sweeps, randomized = seqgen._run_sweeps, seqgen._randomized
+    monkeypatch.setattr(seqgen, "_run_sweeps", lambda st, cfg: batches.append(len(st.rows)) or run_sweeps(st, cfg))
+    monkeypatch.setattr(seqgen, "_randomized", lambda p, rng: built.append(1) or randomized(p, rng))
+    p0 = seqmps.make_protocol(GeneratorModel("xy"), 3, with_ancilla=True, with_qubit_pre=True,
+                              with_qubit_post=True, fixed_gate=CNOT)
+    product, hard = seqmps.random_mps(3, 1, seed=4), seqmps.random_mps(3, 2, seed=0)
+    cfg = seqmps.default_config(seed=0, restarts=5, max_sweeps=4)
+    # (target, config, batch sizes, random starts built, restarts_used)
+    cases = [(product, cfg, [2], 1, 1), (hard, cfg, [2, 3], 4, 5),
+             (hard, dataclasses.replace(cfg, good_enough=None), [5], 4, 5)]
+    for target, case_cfg, want_batches, want_built, want_used in cases:
+        batches.clear()
+        built.clear()
+        _, report = seqmps.optimize(p0, target, case_cfg)
+        assert (batches, len(built), report.restarts_used) == (want_batches, want_built, want_used)
 
 
 # Runs an xy, a CNOT and a full_pauli optimize at d = 2 and 3, then lists the scipy modules loaded.
@@ -740,7 +793,7 @@ def test_step_map_matches_its_definition(d, bonds, seed):
     assert np.abs(v - ref).max() <= 1e-12 * scale
     assert np.abs(seqgen._step_isometry(u, init, d) - site).max() <= 1e-12
     # The frozen-phi_f environment gives Re tr(W env) = Re(phi^dag K vec(W)).
-    env = seqgen._frozen_env(kmat, v)
+    env = seqgen._frozen_env(kmat, v, np.linalg.norm(v))
     phi = v / np.linalg.norm(v)
     for x in (u, w):
         assert abs(np.trace(x @ env).real - (phi.conj() @ kmat @ x.ravel()).real) <= 1e-12 * scale
@@ -839,24 +892,30 @@ def test_coupling_argmax_beats_a_dense_grid(kind_m, bonds, seed):
     assert best >= max(brute(theta) for theta in np.linspace(lo, hi, 2000)) - 1e-12
 
 
-# Every sweep runs to the cap and (for this start) accepts extrapolations in
-# some sweeps and not in others.
+# Every sweep runs to the cap and (for these starts) some rows accept
+# extrapolations in some sweeps and not in others.
 KEEP_TARGET = seqmps.random_mps(5, 2, seed=11)
 KEEP_START = random_protocol(GeneratorModel("xy"), 5, seed=12)
-KEEP_CFG = seqmps.default_config(tol=0.0, max_sweeps=6, restarts=1, good_enough=None)
+KEEP_CFG = seqmps.default_config(tol=0.0, max_sweeps=6, restarts=3, good_enough=None)
 
 
 def counting_extrapolations(monkeypatch):
+    """Record, per sweep, which batch rows took an extrapolation."""
     extrapolate = seqgen._extrapolate_sweep
     accepted = []
 
-    def counted(st, snaps, cost):
-        out = extrapolate(st, snaps, cost)
-        accepted.append(out < cost)
-        return out
+    def counted(st, snaps):
+        taken = extrapolate(st, snaps)
+        accepted.append(taken)
+        return taken
 
     monkeypatch.setattr(seqgen, "_extrapolate_sweep", counted)
     return accepted
+
+
+def some_but_not_all(accepted):
+    taken = np.concatenate(accepted)
+    return taken.any() and not taken.all()
 
 
 def test_kept_environments_equal_a_fresh_fold(monkeypatch):
@@ -868,50 +927,53 @@ def test_kept_environments_equal_a_fresh_fold(monkeypatch):
         lefts = [_fold_up(st.left_seed(), st.v_sites[:k], st.at[:k]) for k in range(n)]
         tails = [None] * (n - 1) + [st.tail_seed()]
         for k in range(n - 1, 0, -1):
-            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k], st.at[k])
+            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k][:, None], st.at[k])
         return lefts, tails
 
     def same(kept, fold):
+        # Whole stacks: every restart's environment, bit for bit.
         return all(np.array_equal(a, b) for a, b in zip(kept, fold, strict=True))
 
     def checked(st, lefts, tails, up):
         # The side ahead of the walk is kept from earlier; the side behind it is rebuilt.
         assert same(tails, fresh(st)[1]) if up else same(lefts, fresh(st)[0])
-        cost = sweep_once(st, lefts, tails, up)
+        sweep_once(st, lefts, tails, up)
         assert same(lefts, fresh(st)[0]) if up else same(tails, fresh(st)[1])
         walks.append(up)
-        return cost
 
     monkeypatch.setattr(seqgen, "_sweep_once", checked)
     accepted = counting_extrapolations(monkeypatch)
     _, report = seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
     assert report.sweeps == KEEP_CFG.max_sweeps
     assert walks == [True, False] * report.sweeps
-    assert any(accepted) and not all(accepted)
+    assert some_but_not_all(accepted)
 
 
 def test_extrapolation_restores_or_rebuilds_the_sites(monkeypatch):
     extrapolate = seqgen._extrapolate_sweep
     accepted = []
 
-    def state(st):
-        arrays = [*st.params.values(), *st.v_sites]
-        return [a.tobytes() for a in arrays]
+    def rows(st):
+        """The bytes of each batch row's parameters and sites."""
+        return [[a[:, j].tobytes() for a in st.params.values()] + [s[j].tobytes() for s in st.v_sites]
+                for j in range(len(st.rows))]
 
-    def checked(st, snaps, cost):
-        before = state(st)
-        out = extrapolate(st, snaps, cost)
-        accepted.append(out < cost)
-        if out < cost:
-            for fresh, site in zip(seqgen._sites(st.start, st.params), st.v_sites, strict=True):
-                assert fresh.tobytes() == site.tobytes()
-        else:
-            assert state(st) == before
-        return out
+    def checked(st, snaps):
+        before = rows(st)
+        taken = extrapolate(st, snaps)
+        accepted.append(taken)
+        fresh = seqgen._sites(st.start, st.params)
+        for j, after in enumerate(rows(st)):
+            if taken[j]:
+                for f, site in zip(fresh, st.v_sites, strict=True):
+                    assert f[j].tobytes() == site[j].tobytes()
+            else:
+                assert after == before[j]
+        return taken
 
     monkeypatch.setattr(seqgen, "_extrapolate_sweep", checked)
     seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
-    assert any(accepted) and not all(accepted)
+    assert some_but_not_all(accepted)
 
 
 def test_each_walk_folds_each_passed_step_once(monkeypatch):
@@ -922,6 +984,57 @@ def test_each_walk_folds_each_passed_step_once(monkeypatch):
     accepted = counting_extrapolations(monkeypatch)
     _, report = seqmps.optimize(KEEP_START, KEEP_TARGET, KEEP_CFG)
     n = KEEP_TARGET.n
-    # The tails are folded at the start and after each accepted extrapolation,
+    # One call folds a step for every restart.  The tails are folded at the
+    # start and after each sweep in which some restart took an extrapolation,
     # then each half-sweep folds n - 1 steps behind it.
-    assert len(calls) == (n - 1) * (1 + sum(accepted) + 2 * report.sweeps)
+    assert len(calls) == (n - 1) * (1 + sum(taken.any() for taken in accepted) + 2 * report.sweeps)
+
+
+# (model kind, d) of the batch property; "cnot" is xy with a fixed CNOT core.
+BATCH_KINDS = st.sampled_from(
+    [("xy", 2), ("xxz", 2), ("ion_xy", 2), ("full_pauli", 2), ("full_pauli", 3), ("cnot", 2)]
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    kind=BATCH_KINDS,
+    local_flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    n=st.integers(2, 4),
+    restarts=st.integers(2, 4),
+    max_sweeps=st.integers(1, 12),
+    tol=st.sampled_from([1e-12, 1e-6, 1e-3]),
+    good_enough=st.sampled_from([None, 1e-10, 5e-2]),
+    seed=SEEDS,
+)
+def test_restarts_batch_as_if_run_alone(kind, local_flags, n, restarts, max_sweeps, tol,
+                                        good_enough, seed):
+    # Each restart's lone run (restarts=1 from its start point) is what the
+    # batch computes for it, bit for bit, and the batch reports the pick of
+    # the sequential rule: the first run at or below good_enough, else the
+    # lowest cost, the earliest on a tie.
+    model_kind, d = kind
+    ua, pre, post = local_flags
+    p0 = seqmps.make_protocol(
+        GeneratorModel("xy" if model_kind == "cnot" else model_kind, d), n,
+        phi_i=basis_phi(d, 1), with_ancilla=ua, with_qubit_pre=pre, with_qubit_post=post,
+        fixed_gate=CNOT if model_kind == "cnot" else None,
+    )
+    target = seqmps.random_mps(n, 1 + seed % 2, seed)
+    cfg = seqmps.default_config(restarts=restarts, max_sweeps=max_sweeps, tol=tol,
+                                good_enough=good_enough, seed=seed % 1000)
+    lone_cfg = dataclasses.replace(cfg, restarts=1)
+    lone = [seqmps.optimize(s, target, lone_cfg) for s in restart_starts(p0, cfg)]
+    pick = None
+    for used, (p, report) in enumerate(lone, start=1):
+        if pick is None or report.cost < pick[1].cost:
+            pick = (p, report)
+        if good_enough is not None and report.cost <= good_enough:
+            break
+    p, report = seqmps.optimize(p0, target, cfg)
+    want_p, want = pick
+    assert report.history == want.history
+    assert (report.sweeps, report.converged) == (want.sweeps, want.converged)
+    assert report.restarts_used == used
+    assert report.fidelity == want.fidelity
+    assert p.to_json() == want_p.to_json()
