@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OptimizationConfig, non_increasing, sweep_until_stalled
+from .config import OptimizationConfig, check_count, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
 from .mps import Mps, overlap, truncate_per_matrix
 from .mps import _absorb_boundaries, _require_normalized, _split_lq, _split_qr, _transfer_down, _transfer_up
@@ -89,8 +89,7 @@ class CompressionReport:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown compression method {self.method!r}")
-        if self.d_prime < 1:
-            raise InvalidInputError("d_prime must be >= 1")
+        check_count(self.d_prime, "d_prime", 1)
         if not -FIDELITY_SLACK <= self.fidelity <= FIDELITY_CLAMP:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
         object.__setattr__(self, "error", max(float(self.error), 0.0))
@@ -121,6 +120,7 @@ def compress_truncation(target: Mps, d_prime: int) -> tuple[Mps, CompressionRepo
     xxz_ground(12, 1.0) by one ulp moves the d_prime = 2 error from 0.30659
     to 0.30657 (up) or 0.30640 (down).
     """
+    check_count(d_prime, "d_prime", 1)
     _require_normalized(target, "compression target")
     trial = truncate_per_matrix(target, d_prime)
     ov = overlap(target, trial)

@@ -17,10 +17,12 @@ def non_increasing(history) -> bool:
     return not np.any(np.diff(np.asarray(history, dtype=float)) > MONOTONE_SLACK)
 
 
-def check_count(value, name: str, low: int) -> None:
-    """Refuse a value that is not an integer (numpy's included) of at least low."""
-    if not isinstance(value, numbers.Integral) or value < low:
-        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+def check_count(value, name: str, low: int, high: int | None = None) -> None:
+    """Refuse a value that is not an integer (numpy's included, bool not) in low..high (no bound if None)."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInputError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def stalled(prev, cost, cfg, good_enough=None):

@@ -68,6 +68,7 @@ import json
 
 import numpy as np
 
+from .config import check_count
 from .errors import CapacityError, DegenerateStateError, InvalidInputError
 from .linalg import qr, svd
 from .serialize import SCHEMA, complex_to_pairs, load_document, pairs_to_complex
@@ -85,7 +86,8 @@ class Mps:
     __slots__ = ("tensors", "phi_i", "phi_f")
 
     def __init__(self, tensors, phi_i, phi_f):
-        tensors = [np.array(t, dtype=complex) for t in tensors]
+        # C order: matmul rounds differently on strided sites, such as from_state_vector's.
+        tensors = [np.array(t, dtype=complex, order="C") for t in tensors]
         if not tensors:
             raise InvalidInputError("an MPS needs at least one site")
         for k, t in enumerate(tensors):
@@ -209,8 +211,7 @@ def _fold_up(left, kets, bras):
 
 def _absorb_boundaries(m: Mps) -> list[np.ndarray]:
     """Tensors of m with phi_i and conj(phi_f) contracted in: the state with unit boundaries."""
-    # C order, not a safety copy: matmul rounds differently on from_state_vector's strided sites.
-    ts = [np.ascontiguousarray(t) for t in m.tensors]
+    ts = list(m.tensors)
     ts[0] = (ts[0] @ m.phi_i)[:, :, None]
     ts[-1] = (m.phi_f.conj() @ ts[-1])[:, None, :]
     return ts
@@ -265,8 +266,8 @@ def from_state_vector(psi, max_bond: int | None = None) -> Mps:
         raise CapacityError(f"n = {n} exceeds the dense cap of {MAX_DENSE_QUBITS}")
     if not np.any(psi):
         raise InvalidInputError("psi is the zero vector")
-    if max_bond is not None and max_bond < 1:
-        raise InvalidInputError("max_bond must be >= 1")
+    if max_bond is not None:
+        check_count(max_bond, "max_bond", 1)
 
     tensors: list[np.ndarray] = []
     work = psi.reshape(2**n, 1)
@@ -349,8 +350,7 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
     fixes it.  The result is left-canonical, normalized, with trivial
     boundary vectors and all bond dimensions <= keep.
     """
-    if keep < 1:
-        raise InvalidInputError(f"keep must be >= 1, got {keep}")
+    check_count(keep, "keep", 1)
     _require_closed(m, "truncate_per_matrix")
     ts = _absorb_boundaries(m)
     # Upward LQ pass: rows become orthonormal, the norm collects at the top.

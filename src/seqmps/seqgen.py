@@ -21,11 +21,13 @@ the protocol is 2 (1 - F), the squared distance between the joint state and
 (best phi_f) x target.
 
 The optimizer sweeps step by step.  Its free parameters form one record
-keyed by chain slot: unitary stacks for ua (U^A x 1), ub_pre (1 x U^{B_I}),
-ub_post (1 x U^{B_F}) and a full_pauli core, or the couplings of a
-Bell-diagonal core; absent locals and a fixed gate are left out.  A step is
-an ordered factor chain [(slot, 2d x 2d matrix)], multiplied out from the
-right, whose factors are updated one at a time against their environment
+keyed by chain slot (Protocol._params): unitary stacks for ua (U^A x 1),
+ub_pre (1 x U^{B_I}), ub_post (1 x U^{B_F}) and a full_pauli core, or the
+couplings of a Bell-diagonal core; absent locals and a fixed gate are left
+out.  One builder, _chain, turns a record into every step's ordered factor
+chain [(slot, 2d x 2d stack)], multiplied out from the right; site tensors,
+step unitaries and the sweep state all come from it.  The factors are
+updated one at a time against their environment
 (Evenbly & Vidal, PRB 79, 144108 (2009)).  The ancilla vector of a step is
 linear in its unitary, v = K vec(U), and the map K (d x 4d^2) is built once
 per step from the two environments, the target site and the qubit init;
@@ -48,7 +50,9 @@ last move by projected squaring, with no eigendecomposition.
 
 Restarts sweep in lockstep batches along a leading restart axis, which
 every step kernel lets ride along; each row computes the bits it computes
-alone.  The batches and when a row leaves one are described at optimize.
+alone.  A batch's _SweepState owns everything that follows its rows: the
+parameters, chains, sites, environments and extrapolation snapshots.  The
+batches and when a row leaves one are described at optimize.
 """
 
 from __future__ import annotations
@@ -271,7 +275,7 @@ def build_step_unitary(
     couplings = None if fixed_gate is not None or params is None else np.reshape(params, (1, -1))
     p = Protocol(1, model, couplings, [[1.0, 0.0]], _basis_vec(model.d_ancilla),
                  stack(ua), stack(ub_pre), stack(ub_post), fixed_gate)
-    return p.step_unitary(1)
+    return _product(_chain(p, p._params, (1,)))[0]
 
 
 @functools.cache
@@ -291,38 +295,29 @@ def _embed(slot: str, factor: np.ndarray, d: int) -> np.ndarray:
     return kron.reshape(*factor.shape[:-2], 2 * d, 2 * d)
 
 
-def _factors(core, ua=None, ub_pre=None, ub_post=None) -> list:
-    """Ordered factor chain [(slot, 2d x 2d matrix)] of one step.
+def _chain(p: Protocol, params: dict, lead: tuple) -> list:
+    """Every step's factor chain [(slot, stack)] of protocol p with free parameters params.
 
-    The step unitary is the product of the chain left to right; absent
-    locals are left out.
-    """
-    d = core.shape[-1] // 2
-    slots = {"ua": ua, "ub_pre": ub_pre, "core": core, "ub_post": ub_post}
-    return [(slot, _embed(slot, f, d)) for slot, f in slots.items() if f is not None]
-
-
-def _step_chain(p: Protocol, params: dict, i: int) -> list:
-    """Factor chain of step i (0-based, or a slice of steps) of protocol p with free parameters params.
-
-    The core is params["core"][i], the entangler of params["couplings"][i], or the fixed gate.
+    The one builder of steps: each factor is a (*lead, 2d, 2d) stack, with
+    lead (n,) for one protocol or (n, R) for a batch of R restarts, and the
+    step unitaries are the chain multiplied out (_product).  The core is
+    params["core"] itself, the entangler of params["couplings"], or p's fixed
+    gate broadcast to lead; absent locals are left out.
     """
     if "core" in params:
-        core = params["core"][i]
+        core = params["core"]
     elif "couplings" in params:
-        core = p.model.entangler(params["couplings"][i])
+        core = p.model.entangler(params["couplings"])
     else:
-        core = p.fixed_gate
-    return _factors(core, **{slot: params[slot][i] for slot in _LOCAL_FIELDS if slot in params})
+        core = np.broadcast_to(p.fixed_gate, (*lead, *p.fixed_gate.shape))
+    factors = {**params, "core": core}
+    order = ("ua", "ub_pre", "core", "ub_post")
+    return [(slot, _embed(slot, factors[slot], p.model.d_ancilla)) for slot in order if slot in factors]
 
 
-def _sites(p: Protocol, params: dict) -> list:
-    """Site tensors of every step of protocol p with free parameters params, built as one stack."""
-    if "couplings" in params and p.model.kind not in _BELL_KINDS:
-        params = {**params, "core": np.array([p.model.entangler(c) for c in params["couplings"]])}
-    u = _product(_step_chain(p, params, slice(None)))
-    u = np.broadcast_to(u, (p.n, *u.shape[-2:])) if u.ndim == 2 else u  # a bare fixed gate
-    return [_step_isometry(step_u, init, p.model.d_ancilla) for step_u, init in zip(u, p.qubit_inits)]
+def _sites(p: Protocol, chain: list) -> list:
+    """Site tensors of every step of protocol p from its factor chain (see _chain)."""
+    return [_step_isometry(u, init, p.model.d_ancilla) for u, init in zip(_product(chain), p.qubit_inits)]
 
 
 def _product(chain: list, right=None):
@@ -465,18 +460,16 @@ class Protocol:
 
     @property
     def _params(self) -> dict:
-        """Free parameters by slot: present local stacks, and couplings unless the gate is fixed."""
+        """Free parameters by slot: present local stacks, and the couplings unless the gate is fixed.
+
+        A full_pauli protocol gives its core unitaries instead, one entangler call per row.
+        """
         params = {slot: getattr(self, name) for slot, name in _LOCAL_FIELDS.items()}
-        params["couplings"] = self.couplings
+        if self.model.kind in _BELL_KINDS:
+            params["couplings"] = self.couplings
+        elif self.couplings is not None:
+            params["core"] = np.array([self.model.entangler(c) for c in self.couplings])
         return {key: a for key, a in params.items() if a is not None}
-
-    def step_unitary(self, k: int) -> np.ndarray:
-        """Full unitary of step k (1-based)."""
-        return _product(_step_chain(self, self._params, k - 1))
-
-    def step_isometry(self, k: int) -> np.ndarray:
-        """Site tensor of step k: V^i[a, b] = sum_j U[(a i), (b j)] init_j."""
-        return _step_isometry(self.step_unitary(k), self.qubit_inits[k - 1], self.model.d_ancilla)
 
     def to_json(self) -> str:
         def opt(key):
@@ -558,7 +551,7 @@ def simulate(p: Protocol) -> Mps:
     ancilla state, and the final ancilla index is left open (phi_f = None);
     the joint state always has norm 1.
     """
-    return Mps(_sites(p, p._params), p.phi_i, None)
+    return Mps(_sites(p, _chain(p, p._params, (p.n,))), p.phi_i, None)
 
 
 @dataclass(frozen=True)
@@ -605,18 +598,14 @@ class FidelityReport:
         }
 
 
-def _target_arrays(target: Mps):
-    if target.open_final:
-        raise InvalidInputError("target must be a closed MPS")
-    return list(target.tensors), target.phi_i, target.phi_f
-
-
 def fidelity_vector(p: Protocol, target: Mps) -> np.ndarray:
     """Leftover ancilla vector v with v[a] = <target| (joint state, ancilla a)>."""
     if target.n != p.n:
         raise InvalidInputError(f"target has {target.n} sites, protocol has {p.n}")
-    a_tensors, a_phi_i, a_phi_f = _target_arrays(target)
-    return _fold_up(np.outer(p.phi_i, a_phi_i.conj()), _sites(p, p._params), a_tensors) @ a_phi_f
+    if target.open_final:
+        raise InvalidInputError("target must be a closed MPS")
+    left = np.outer(p.phi_i, target.phi_i.conj())
+    return _fold_up(left, _sites(p, _chain(p, p._params, (p.n,))), target.tensors) @ target.phi_f
 
 
 def fidelity(p: Protocol, target: Mps) -> FidelityReport:
@@ -643,57 +632,54 @@ def _basis_vec(d: int) -> np.ndarray:
 class _SweepState:
     """Working copies of a batch of restarts, stacked along a restart axis.
 
-    params are stacked step first, (n, R, ...), with a full_pauli core as its
-    unitary stack; v_sites holds one (R, 2, d, d) site stack per step, chain
-    every step's factor chain (see rechain) and history one cost history per
-    row.  Row j runs starts[rows[j]]; starts[0] gives the shared structure.
+    The state owns everything that follows its rows.  params are stacked
+    step first, (n, R, ...), read once from each start's record; chain is
+    every step's factor chain (_chain with lead (n, R)), v_sites one
+    (R, 2, d, d) site stack per step and history one cost history per row.
+    lefts[k] folds steps [0, k) and tails[k] steps (k, n) (see _sweep_once);
+    their seeds lefts[0] and tails[-1] are built once and never move.  snaps
+    are the parameters at the start of recent sweeps (_extrapolate_sweep).
+    Row j runs starts[rows[j]]; starts[0] gives the shared structure.
     """
 
     def __init__(self, starts: list, target: Mps):
         p = self.start = starts[0]
         self.d = p.model.d_ancilla
         self.rows = np.arange(len(starts))
-        self.params = {key: np.stack([s._params[key] for s in starts], axis=1) for key in p._params}
-        if "couplings" in self.params and p.model.kind not in _BELL_KINDS:
-            couplings = self.params.pop("couplings")
-            self.params["core"] = np.array([[p.model.entangler(c) for c in cs] for cs in couplings])
-        self.at, self.at_phi_i, self.at_phi_f = _target_arrays(target)
-        # Broadcast, because a bare fixed gate has no free factor to carry the restart axis.
-        shape = (len(starts), 2, self.d, self.d)
-        self.v_sites = [np.broadcast_to(site, shape) for site in _sites(p, self.params)]
+        records = [s._params for s in starts]  # a property: each read builds a full_pauli core
+        self.params = {key: np.stack([r[key] for r in records], axis=1) for key in records[0]}
+        self.at, self.at_phi_f = target.tensors, target.phi_f
+        tail = np.zeros((self.d, self.d, self.at_phi_f.shape[0]), dtype=complex)
+        tail[np.arange(self.d), np.arange(self.d), :] = self.at_phi_f[None, :]
+        self.lefts = [np.outer(p.phi_i, target.phi_i.conj())] + [None] * (p.n - 1)
+        self.tails = [None] * (p.n - 1) + [tail]
+        self.snaps = []
         self.rechain()
         self.history = [[cost] for cost in self.cost(self.v_sites).tolist()]
 
-    def left_seed(self) -> np.ndarray:
-        return np.outer(self.start.phi_i, self.at_phi_i.conj())
-
-    def tail_seed(self) -> np.ndarray:
-        tm = np.zeros((self.d, self.d, self.at_phi_f.shape[0]), dtype=complex)
-        tm[np.arange(self.d), np.arange(self.d), :] = self.at_phi_f[None, :]
-        return tm
-
     def cost(self, sites: list) -> np.ndarray:
         """2 (1 - F) of the given site stacks, per row."""
-        v = _fold_up(self.left_seed(), sites, self.at) @ self.at_phi_f
+        v = _fold_up(self.lefts[0], sites, self.at) @ self.at_phi_f
         return 2.0 * (1.0 - np.minimum(_norm(v), FIDELITY_CLAMP))
 
     def costs(self) -> np.ndarray:
         """Each row's latest cost."""
         return np.array([h[-1] for h in self.history])
 
-    def rechain(self) -> None:
-        """Every step's factor chain as one chain of (n, R, 2d, 2d) stacks, a fixed gate broadcast."""
-        shape = (self.start.n, len(self.rows), 2 * self.d, 2 * self.d)
-        chain = _step_chain(self.start, self.params, slice(None))
-        self.chain = [(slot, f if f.ndim == 4 else np.broadcast_to(f, shape)) for slot, f in chain]
+    def rechain(self, sites=None) -> None:
+        """Rebuild the chain from params, take sites (by default the chain's own) and refold the tails."""
+        self.chain = _chain(self.start, self.params, (self.start.n, len(self.rows)))
+        self.v_sites = _sites(self.start, self.chain) if sites is None else sites
+        for k in range(self.start.n - 1, 0, -1):
+            self.tails[k - 1] = _transfer_down(self.tails[k], self.v_sites[k][:, None], self.at[k])
 
     def keep(self, keep: np.ndarray) -> None:
-        """Drop the rows where keep is False."""
+        """Drop the rows where keep is False, from the snapshots too."""
         self.rows = self.rows[keep]
         self.params = {key: a[:, keep] for key, a in self.params.items()}
-        self.v_sites = [site[keep] for site in self.v_sites]
+        self.snaps = [{key: a[:, keep] for key, a in snap.items()} for snap in self.snaps]
         self.history = [h for h, kept in zip(self.history, keep) if kept]
-        self.rechain()
+        self.rechain([site[keep] for site in self.v_sites])
 
 
 def _to_protocol(p: Protocol, params: dict) -> Protocol:
@@ -714,28 +700,33 @@ def _harmonic_sum(coef, ph, exp=np.exp):
     return c0.real + 2.0 * (c1 * exp(1j * ph)).real + 2.0 * (c2 * exp(2j * ph)).real
 
 
-def _coupling_argmax(coef, period: float) -> np.ndarray:
+def _coupling_argmax(coef, period: float, old) -> np.ndarray:
     """Exact maximizer of a coupling's squared overlap over one period, per element of coef.
 
     |v|^2 = _harmonic_sum(coef, 2 pi theta / period), with coef from the Gram
     matrix of _coupling_harmonics; a 128-point grid brackets the maximum of
     every element at once, and Newton steps refine each in Python scalar
-    arithmetic, which costs less than numpy calls on a few elements.
+    arithmetic, which costs less than numpy calls on a few elements.  An
+    element keeps its old coupling where the maximizer's |v|^2 would be
+    lower, so no cost rises.
     """
     c0, c1, c2 = (np.asarray(c) for c in coef)
     grid = _harmonic_sum((c0[..., None], c1[..., None], c2[..., None]), _PHASE_GRID)
     start = _PHASE_GRID[np.argmax(grid, axis=-1)]
     out = []
-    for ph, a1, a2 in zip(start.ravel().tolist(), c1.ravel().tolist(), c2.ravel().tolist()):
+    rows = zip(start.ravel().tolist(), np.ravel(old).tolist(), *(c.ravel().tolist() for c in (c0, c1, c2)))
+    for ph, theta, *a in rows:
         for _ in range(4):
-            e1 = a1 * cmath.exp(1j * ph)
-            e2 = a2 * cmath.exp(2j * ph)
+            e1 = a[1] * cmath.exp(1j * ph)
+            e2 = a[2] * cmath.exp(2j * ph)
             d1 = -2.0 * e1.imag - 4.0 * e2.imag
             d2 = -2.0 * e1.real - 8.0 * e2.real
             if d2 >= -ARGMAX_CURVATURE_ATOL:
                 break
             ph -= d1 / d2
-        out.append(ph % (2.0 * np.pi) * period / (2.0 * np.pi))
+        cand = ph % (2.0 * np.pi) * period / (2.0 * np.pi)
+        overlap2 = lambda t: _harmonic_sum(a, 2.0 * np.pi * t / period, cmath.exp)
+        out.append(cand if overlap2(cand) >= overlap2(theta) else theta)
     return np.reshape(out, start.shape)
 
 
@@ -757,49 +748,38 @@ def _coupling_harmonics(model: GeneratorModel, params: np.ndarray, m: int, kcore
     return tuple(np.ascontiguousarray(gram[..., harm == h]).sum(axis=-1) for h in range(3))
 
 
-def _sweep_once(st: _SweepState, lefts: list, tails: list, up: bool) -> None:
+def _sweep_once(st: _SweepState, up: bool) -> None:
     """One half-sweep of every row (all steps, ascending or descending).
 
-    lefts[k] folds steps [0, k) and tails[k] steps (k, n), kept across
-    half-sweeps: a walk reads the side ahead as the last walk left it and
-    refolds the side behind it (from left_seed() going up) after each update,
-    so every kept entry equals a fresh fold of the current sites, bit for bit.
+    A walk reads the environments ahead of it, st.tails going up and st.lefts
+    going down, as the last walk or rechain left them, and refolds those
+    behind it after each update, so every kept entry equals a fresh fold of
+    the current sites, bit for bit.
     """
     order = range(st.start.n) if up else range(st.start.n - 1, -1, -1)
-    if up:
-        lefts[0] = st.left_seed()
     for k in order:
-        _update_step(st, k, lefts[k], tails[k])
+        _update_step(st, k)
         if k == order[-1]:
             break
         if up:
-            lefts[k + 1] = _transfer_up(lefts[k], st.v_sites[k], st.at[k])
+            st.lefts[k + 1] = _transfer_up(st.lefts[k], st.v_sites[k], st.at[k])
         else:
-            tails[k - 1] = _transfer_down(tails[k], st.v_sites[k][:, None], st.at[k])
+            st.tails[k - 1] = _transfer_down(st.tails[k], st.v_sites[k][:, None], st.at[k])
 
 
-def _fold_tails(st: _SweepState) -> list:
-    """tails[k] for every step: the sites (k, n) folded down from tail_seed()."""
-    tails = [None] * (st.start.n - 1) + [st.tail_seed()]
-    for k in range(st.start.n - 1, 0, -1):
-        tails[k - 1] = _transfer_down(tails[k], st.v_sites[k][:, None], st.at[k])
-    return tails
-
-
-def _update_step(st: _SweepState, i: int, l_env, t_env) -> None:
-    """Optimize the free factors of step i (0-based) in chain order against fixed environments.
+def _update_step(st: _SweepState, i: int) -> None:
+    """Optimize the free factors of step i (0-based) in chain order against its kept environments.
 
     Each update is a closed-form ascent step, so every row's cost history
-    stays non-increasing: Bell couplings take their exact argmax, and every
-    unitary slot, the full_pauli core included, the Procrustes solution of
-    its partial-traced environment with phi_f frozen.  A fixed gate is left
-    alone.  Every evaluation goes through the step map, built once.  Moved
-    factors are written into st.chain in place.
+    stays non-increasing: each Bell coupling in turn takes its exact argmax
+    (or keeps its value), and every unitary slot, the full_pauli core
+    included, the Procrustes solution of its partial-traced environment with
+    phi_f frozen.  A fixed gate is left alone.  Every evaluation goes through
+    the step map, built once.  Moved factors are written into st.chain in
+    place.
     """
-    if not st.params:
-        return  # a bare fixed gate
     p = st.start
-    kmat = _step_map(l_env, st.at[i], t_env, p.qubit_inits[i])
+    kmat = _step_map(st.lefts[i], st.at[i], st.tails[i], p.qubit_inits[i])
     chain = [(slot, f[i]) for slot, f in st.chain]
     # rights[j] is chain[j + 1:] multiplied out; the factors right of j move
     # only after j does, so each serves slot j's map and its new product.
@@ -814,8 +794,10 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> None:
             continue
         kf = _factor_map(chain, j, kmat, rights[j])
         if slot == "core" and "couplings" in st.params:
-            _search_couplings(p.model, st.params["couplings"][i], kf)
-            chain[j][1][...] = p.model.entangler(st.params["couplings"][i])
+            c, period = st.params["couplings"][i], _BELL_KINDS[p.model.kind][0]
+            for m in range(p.model.param_count):
+                c[:, m] = _coupling_argmax(_coupling_harmonics(p.model, c, m, kf), period, c[:, m])
+            chain[j][1][...] = p.model.entangler(c)
         else:
             env = _frozen_env(kf, v, fnorm)
             if slot != "core":
@@ -834,30 +816,9 @@ def _update_step(st: _SweepState, i: int, l_env, t_env) -> None:
     st.v_sites[i] = _step_isometry(u, p.qubit_inits[i], st.d)
 
 
-def _search_couplings(model: GeneratorModel, params: np.ndarray, kcore: np.ndarray) -> None:
-    """Set each coupling of a Bell-diagonal core C with v = kcore @ C.ravel() to its exact argmax.
-
-    params (one row per restart) is updated in place, one coupling at a
-    time; a row's candidate is accepted only if its |v|^2 does not drop
-    there, so each row's cost stays non-increasing.
-    """
-    period = _BELL_KINDS[model.kind][0]
-    for m in range(model.param_count):
-        coefs = _coupling_harmonics(model, params, m, kcore)
-        rows = zip(params[:, m].tolist(), _coupling_argmax(coefs, period).tolist(), *(c.tolist() for c in coefs))
-        for row, (old, cand, *coef) in enumerate(rows):
-            overlap2 = lambda theta: _harmonic_sum(coef, 2.0 * np.pi * theta / period, cmath.exp)
-            if overlap2(cand) >= overlap2(old):
-                params[row, m] = cand
-
-
 def _log_couplings(u: np.ndarray) -> np.ndarray:
     """full_pauli couplings c with entangler(c) = u, from the principal logarithm of unitary u."""
     return pauli_coefficients(logm_unitary(u)).ravel()
-
-
-def _snapshot(st: _SweepState) -> dict:
-    return {key: a.copy() for key, a in st.params.items()}
 
 
 def _projected_square(u: np.ndarray) -> np.ndarray:
@@ -869,11 +830,11 @@ _EXTRAP_BETAS = tuple(2.0**k for k in range(9))  # 1, 2, 4, ..., 256
 _EXTRAP_MEMORY = 9
 
 
-def _extrapolate_sweep(st: _SweepState, snaps) -> np.ndarray:
+def _extrapolate_sweep(st: _SweepState) -> np.ndarray:
     """Safeguarded extrapolation through recent parameter moves; returns the rows that took one.
 
     Tries cur + beta * (cur - base) for doubling beta from two secant
-    baselines, the previous sweep and the oldest retained snapshot (the longer
+    baselines, the start of this sweep and the oldest of st.snaps (the longer
     one averages out the sweep-to-sweep zigzag and points down the slow
     valley), up to the first candidate that does not lower the cost, so the
     history stays non-increasing; a mask ends each row's loop on its own.
@@ -882,10 +843,10 @@ def _extrapolate_sweep(st: _SweepState, snaps) -> np.ndarray:
     doubling and projected back onto the unitary group (off it, roundoff
     makes a cost read low).  Bell couplings move
     linearly, across their period.  Candidates are scored from their own
-    sites; each row ends with its best candidate, if any.  The state is
-    copied only when some rows, but not all, take a candidate.
+    sites; each row ends with its best candidate, if any, and the state
+    rechains.  It is copied only when some rows, but not all, take one.
     """
-    cur = st.params
+    cur, snaps, lead = st.params, st.snaps, (st.start.n, len(st.rows))
     best = st.costs()
     taken = np.zeros(best.shape, dtype=bool)
     new_params, new_sites = cur, st.v_sites
@@ -902,7 +863,7 @@ def _extrapolate_sweep(st: _SweepState, snaps) -> np.ndarray:
             cand = {k: cur[k] @ p for k, p in powers.items()}
             if "couplings" in cur:
                 cand["couplings"] = lo + (cur["couplings"] + beta * step - lo) % width
-            sites = _sites(st.start, cand)
+            sites = _sites(st.start, _chain(st.start, cand, lead))
             trial = st.cost(sites)
             going &= trial < best
             if not going.any():
@@ -919,8 +880,8 @@ def _extrapolate_sweep(st: _SweepState, snaps) -> np.ndarray:
             for new, site in zip(new_sites, sites):
                 new[going] = site[going]
     if taken.any():
-        st.params, st.v_sites = new_params, new_sites
-        st.rechain()
+        st.params = new_params
+        st.rechain(new_sites)
         for j in np.flatnonzero(taken):
             st.history[j].append(best[j])
     return taken
@@ -936,18 +897,12 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> list:
     restart with it: run one at a time, those would never have started.
     """
     runs = [None] * len(st.rows)
-    snaps = [_snapshot(st)]
-    # The kept tails stay valid until an extrapolation moves the sites.
-    lefts, tails = [None] * st.start.n, _fold_tails(st)
     for sweep in range(1, cfg.max_sweeps + 1):
         prev = st.costs()
-        _sweep_once(st, lefts, tails, up=True)
-        _sweep_once(st, lefts, tails, up=False)
-        if _extrapolate_sweep(st, snaps).any():
-            tails = _fold_tails(st)
-        snaps.append(_snapshot(st))
-        if len(snaps) > _EXTRAP_MEMORY:
-            snaps.pop(0)
+        st.snaps = [*st.snaps[1 - _EXTRAP_MEMORY :], {key: a.copy() for key, a in st.params.items()}]
+        _sweep_once(st, up=True)
+        _sweep_once(st, up=False)
+        _extrapolate_sweep(st)
         cost = st.costs()
         done = stalled(prev, cost, cfg, cfg.good_enough)
         if sweep < cfg.max_sweeps and not done.any():
@@ -960,8 +915,6 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> list:
         if sweep == cfg.max_sweeps or not keep.any():
             break
         st.keep(keep)
-        tails = _fold_tails(st)
-        snaps[:] = [{key: a[:, keep] for key, a in snap.items()} for snap in snaps]
     return runs
 
 

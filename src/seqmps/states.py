@@ -16,12 +16,12 @@ diagonalizes it one block of fixed one-bit count at a time.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_count
 from .errors import CapacityError, InvalidInputError
 from .linalg import eigh
 from .mps import Mps, canonicalize_left, from_state_vector, normalize
@@ -49,12 +49,10 @@ class TargetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown target kind {self.kind!r}")
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise InvalidInputError(f"targets need an integer n >= 2, got {self.n!r}")
-        if self.bond is not None and (not isinstance(self.bond, numbers.Integral) or self.bond < 1):
-            raise InvalidInputError(f"bond must be an integer >= 1 when given, got {self.bond!r}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
+        check_count(self.n, "n", 2)
+        if self.bond is not None:
+            check_count(self.bond, "bond", 1)
+        check_count(self.seed, "seed", 0)
         if not math.isfinite(self.delta):
             raise InvalidInputError(f"delta must be finite, got {self.delta}")
 
@@ -86,8 +84,7 @@ def _chain(mid: np.ndarray, left, right, n: int) -> Mps:
 
 def ghz_state(n: int) -> Mps:
     """(|0...0> + |1...1>) / sqrt(2) with bond dimension 2."""
-    if n < 2:
-        raise InvalidInputError("ghz needs n >= 2")
+    check_count(n, "n", 2)
     mid = np.zeros((2, 2, 2), dtype=complex)
     mid[0, 0, 0] = mid[1, 1, 1] = 1.0  # bond carries the branch label
     return _chain(mid, [1.0, 1.0], [1.0, 1.0], n)
@@ -95,8 +92,7 @@ def ghz_state(n: int) -> Mps:
 
 def w_state(n: int) -> Mps:
     """(|10...0> + ... + |0...01>) / sqrt(n) with bond dimension 2."""
-    if n < 2:
-        raise InvalidInputError("w needs n >= 2")
+    check_count(n, "n", 2)
     # Bond value 1 = "the single excitation has been placed".
     mid = np.zeros((2, 2, 2), dtype=complex)
     mid[0] = np.eye(2)
@@ -106,8 +102,7 @@ def w_state(n: int) -> Mps:
 
 def cluster_state(n: int) -> Mps:
     """1-D cluster state: CZ on every neighboring pair of |+>^n, bond 2."""
-    if n < 2:
-        raise InvalidInputError("cluster needs n >= 2")
+    check_count(n, "n", 2)
     # Bond carries the previous qubit's bit; amplitude (-1)^(sum s_k s_{k+1}).
     mid = np.zeros((2, 2, 2), dtype=complex)
     for s in (0, 1):
@@ -123,12 +118,9 @@ def random_mps(n: int, bond: int, seed: int) -> Mps:
     for the requested bond.  The same (n, bond, seed) always yields the same
     state, bit for bit.
     """
-    if n < 2:
-        raise InvalidInputError("random targets need n >= 2")
-    if bond < 1:
-        raise InvalidInputError("bond must be >= 1")
-    if seed < 0:
-        raise InvalidInputError("seed must be >= 0")
+    check_count(n, "n", 2)
+    check_count(bond, "bond", 1)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     dims = [min(bond, 2**k, 2 ** (n - k)) for k in range(n + 1)]
     tensors = []
@@ -152,12 +144,13 @@ def xxz_dense_hamiltonian(n: int, delta: float, ones: int | None = None) -> np.n
     diagonal is delta * sum_k z_k z_{k+1} (z = +1 for bit 0, -1 for bit 1),
     and every 01 <-> 10 neighbour flip has amplitude 2.
     """
-    if n < 2:
-        raise InvalidInputError("xxz needs n >= 2")
+    check_count(n, "n", 2)
     if n > MAX_XXZ_QUBITS:
         raise CapacityError(f"n = {n} exceeds the XXZ cap of {MAX_XXZ_QUBITS}")
     if not math.isfinite(delta):
         raise InvalidInputError(f"delta must be finite, got {delta}")
+    if ones is not None:
+        check_count(ones, "ones", 0, n)
     states = np.arange(2**n) if ones is None else np.flatnonzero(_one_bits(n) == ones)
     z = 1 - 2 * ((states[:, None] >> np.arange(n)) & 1)  # site k is bit k - 1
     h = np.diag((z[:, :-1] * z[:, 1:]).sum(axis=1) * float(delta))
@@ -179,6 +172,7 @@ def xxz_ground_vector(n: int, delta: float) -> np.ndarray:
     degeneracy in a block or a tie between blocks (as at delta = -1), never
     the bit-flip partner alone.
     """
+    check_count(n, "n", 2)
     lows, best = [], None
     for ones in range(n // 2 + 1):
         vals, vecs = eigh(xxz_dense_hamiltonian(n, delta, ones))

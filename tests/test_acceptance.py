@@ -188,7 +188,6 @@ def test_criterion_8_invariant_suites():
         qubit_inits=np.broadcast_to([1.0, 0.0], (4, 2)).copy(),
         phi_i=[0.0, 1.0],
     )
-    assert_isometric([p.step_isometry(k) for k in range(1, 5)])
     assert_isometric(seqmps.simulate(p).tensors)
 
     # Cost identity 2 (1 - F) on evaluation and optimization reports.

@@ -140,6 +140,12 @@ def test_compression_input_validation():
         seqmps.compress_truncation(target, 0)
     with pytest.raises(InvalidInputError):
         seqmps.compress_variational(target, 0)
+    # Non-integer sizes, also where the cap would cover every bond.
+    wide = seqmps.random_mps(6, 4, 1)
+    for compress_fn in (seqmps.compress_truncation, seqmps.compress_variational):
+        for t, bad in ((wide, 2.5), (wide, 3.0), (wide, True), (target, 2.5)):
+            with pytest.raises(InvalidInputError):
+                compress_fn(t, bad)
     unnormalized = Mps([t.copy() for t in target.tensors], 2.0 * target.phi_i, target.phi_f)
     with pytest.raises(InvalidInputError):
         seqmps.compress_variational(unnormalized, 2)
@@ -150,8 +156,9 @@ def test_compression_report_validation():
 
     with pytest.raises(InvalidInputError):
         CompressionReport(d_prime=1, method="magic", error=0.0, fidelity=1.0)
-    with pytest.raises(InvalidInputError):
-        CompressionReport(d_prime=0, method="truncation", error=0.0, fidelity=1.0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidInputError):
+            CompressionReport(d_prime=bad, method="truncation", error=0.0, fidelity=1.0)
     with pytest.raises(InvalidInputError):
         CompressionReport(d_prime=1, method="truncation", error=0.0, fidelity=2.0)
     with pytest.raises(InvalidInputError):

@@ -110,6 +110,8 @@ def test_from_state_vector_minimal_bonds_and_cap():
     capped = seqmps.from_state_vector(psi, max_bond=3)
     assert capped.max_bond == 3
     with pytest.raises(InvalidInputError):
+        seqmps.from_state_vector(psi, max_bond=2.5)
+    with pytest.raises(InvalidInputError):
         seqmps.from_state_vector(np.zeros(8))
     with pytest.raises(InvalidInputError):
         seqmps.from_state_vector(np.ones(5))
@@ -282,8 +284,9 @@ def test_truncation_output_contract():
         assert t.max_bond <= keep
         assert_left_canonical(t)
         assert abs(seqmps.norm(t) - 1.0) < 1e-12
-    with pytest.raises(InvalidInputError):
-        seqmps.truncate_per_matrix(m, 0)
+    for bad in (0, 2.5):
+        with pytest.raises(InvalidInputError):
+            seqmps.truncate_per_matrix(m, bad)
     # Any gauge and norm is accepted: the input is re-gauged first.
     raw = random_raw_mps(4, 3, seed=1)
     t = seqmps.truncate_per_matrix(raw, 2)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqmps
@@ -311,8 +311,7 @@ def test_make_protocol_defaults():
 def test_step_isometry_is_isometric_and_matches_dense():
     for kind, seed in (("xy", 1), ("xxz", 2), ("ion_xy", 3), ("full_pauli", 4)):
         p = random_protocol(GeneratorModel(kind), 3, seed=seed)
-        for k in range(1, 4):
-            v = p.step_isometry(k)
+        for k, v in enumerate(seqmps.simulate(p).tensors, start=1):
             d = p.model.d_ancilla
             mat = v.reshape(2 * d, d)
             assert np.abs(mat.conj().T @ mat - np.eye(d)).max() < 1e-12
@@ -861,8 +860,9 @@ def bell_coupling_case(kind_m, bonds, seed):
     kmat /= 2.0 * np.linalg.norm(kmat, 2)  # |v| <= 1 for every 4x4 unitary
     lo, hi = model.coupling_interval()
     params = rng.uniform(lo, hi, model.param_count)
-    ua, pre, post = (seqmps.haar_unitary(2, rng) for _ in range(3))
-    chain = seqgen._factors(model.entangler(params), ua=ua, ub_pre=pre, ub_post=post)
+    ua, pre, post = (seqmps.haar_unitary(2, rng)[None] for _ in range(3))
+    p = Protocol(1, model, params[None], [[1.0, 0.0]], [1.0, 0.0], ua, pre, post)
+    chain = [(slot, f[0]) for slot, f in seqgen._chain(p, p._params, (1,))]
     j = [slot for slot, _ in chain].index("core")
     coef = seqgen._coupling_harmonics(model, params, m, seqgen._factor_map(chain, j, kmat))
 
@@ -887,9 +887,11 @@ def test_coupling_harmonics_give_the_exact_profile(kind_m, bonds, seed):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(kind_m=BELL_COUPLINGS, bonds=BONDS, seed=SEEDS)
 def test_coupling_argmax_beats_a_dense_grid(kind_m, bonds, seed):
-    coef, brute, (lo, hi), _ = bell_coupling_case(kind_m, bonds, seed)
-    best = brute(seqgen._coupling_argmax(coef, hi - lo))
-    assert best >= max(brute(theta) for theta in np.linspace(lo, hi, 2000)) - 1e-12
+    coef, brute, (lo, hi), rng = bell_coupling_case(kind_m, bonds, seed)
+    # The old coupling is kept only where the maximizer would be lower.
+    old = rng.uniform(lo, hi)
+    best = brute(seqgen._coupling_argmax(coef, hi - lo, old))
+    assert best >= max(brute(theta) for theta in [old, *np.linspace(lo, hi, 2000)]) - 1e-12
 
 
 # Every sweep runs to the cap and (for these starts) some rows accept
@@ -904,8 +906,8 @@ def counting_extrapolations(monkeypatch):
     extrapolate = seqgen._extrapolate_sweep
     accepted = []
 
-    def counted(st, snaps):
-        taken = extrapolate(st, snaps)
+    def counted(st):
+        taken = extrapolate(st)
         accepted.append(taken)
         return taken
 
@@ -923,9 +925,10 @@ def test_kept_environments_equal_a_fresh_fold(monkeypatch):
     walks = []
 
     def fresh(st):
-        n = st.start.n
-        lefts = [_fold_up(st.left_seed(), st.v_sites[:k], st.at[:k]) for k in range(n)]
-        tails = [None] * (n - 1) + [st.tail_seed()]
+        n, d, phi_f = st.start.n, st.d, KEEP_TARGET.phi_f
+        left = np.outer(st.start.phi_i, KEEP_TARGET.phi_i.conj())
+        lefts = [_fold_up(left, st.v_sites[:k], st.at[:k]) for k in range(n)]
+        tails = [None] * (n - 1) + [np.eye(d)[:, :, None] * phi_f]
         for k in range(n - 1, 0, -1):
             tails[k - 1] = _transfer_down(tails[k], st.v_sites[k][:, None], st.at[k])
         return lefts, tails
@@ -934,11 +937,11 @@ def test_kept_environments_equal_a_fresh_fold(monkeypatch):
         # Whole stacks: every restart's environment, bit for bit.
         return all(np.array_equal(a, b) for a, b in zip(kept, fold, strict=True))
 
-    def checked(st, lefts, tails, up):
+    def checked(st, up):
         # The side ahead of the walk is kept from earlier; the side behind it is rebuilt.
-        assert same(tails, fresh(st)[1]) if up else same(lefts, fresh(st)[0])
-        sweep_once(st, lefts, tails, up)
-        assert same(lefts, fresh(st)[0]) if up else same(tails, fresh(st)[1])
+        assert same(st.tails, fresh(st)[1]) if up else same(st.lefts, fresh(st)[0])
+        sweep_once(st, up)
+        assert same(st.lefts, fresh(st)[0]) if up else same(st.tails, fresh(st)[1])
         walks.append(up)
 
     monkeypatch.setattr(seqgen, "_sweep_once", checked)
@@ -958,11 +961,11 @@ def test_extrapolation_restores_or_rebuilds_the_sites(monkeypatch):
         return [[a[:, j].tobytes() for a in st.params.values()] + [s[j].tobytes() for s in st.v_sites]
                 for j in range(len(st.rows))]
 
-    def checked(st, snaps):
+    def checked(st):
         before = rows(st)
-        taken = extrapolate(st, snaps)
+        taken = extrapolate(st)
         accepted.append(taken)
-        fresh = seqgen._sites(st.start, st.params)
+        fresh = seqgen._sites(st.start, seqgen._chain(st.start, st.params, (st.start.n, len(st.rows))))
         for j, after in enumerate(rows(st)):
             if taken[j]:
                 for f, site in zip(fresh, st.v_sites, strict=True):
@@ -997,6 +1000,10 @@ BATCH_KINDS = st.sampled_from(
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
+# Lone runs end at history[-1] 4.4e-16 and 0.0, so optimize picks restart 1,
+# while their re-simulated costs would pick restart 0.
+@example(kind=("full_pauli", 3), local_flags=(False, False, False), n=2, restarts=2, max_sweeps=1,
+         tol=1e-12, good_enough=None, seed=297122)
 @given(
     kind=BATCH_KINDS,
     local_flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
@@ -1011,8 +1018,10 @@ def test_restarts_batch_as_if_run_alone(kind, local_flags, n, restarts, max_swee
                                         good_enough, seed):
     # Each restart's lone run (restarts=1 from its start point) is what the
     # batch computes for it, bit for bit, and the batch reports the pick of
-    # the sequential rule: the first run at or below good_enough, else the
-    # lowest cost, the earliest on a tie.
+    # the sequential rule on each run's last history entry: the first run at
+    # or below good_enough, else the lowest, the earliest on a tie.  A
+    # report's cost is re-simulated from the returned protocol, and a
+    # full_pauli core's logm/expm round trip moves its last bits.
     model_kind, d = kind
     ua, pre, post = local_flags
     p0 = seqmps.make_protocol(
@@ -1027,9 +1036,9 @@ def test_restarts_batch_as_if_run_alone(kind, local_flags, n, restarts, max_swee
     lone = [seqmps.optimize(s, target, lone_cfg) for s in restart_starts(p0, cfg)]
     pick = None
     for used, (p, report) in enumerate(lone, start=1):
-        if pick is None or report.cost < pick[1].cost:
+        if pick is None or report.history[-1] < pick[1].history[-1]:
             pick = (p, report)
-        if good_enough is not None and report.cost <= good_enough:
+        if good_enough is not None and report.history[-1] <= good_enough:
             break
     p, report = seqmps.optimize(p0, target, cfg)
     want_p, want = pick

@@ -224,13 +224,21 @@ def test_target_spec_validation():
         TargetSpec("bell", 4)
     with pytest.raises(InvalidInputError):
         TargetSpec("ghz", 1)
-    for bad in ({"bond": 0}, {"bond": 1.5}, {"n": 2.5}, {"seed": 0.5}):
+    for bad in ({"bond": 0}, {"bond": 1.5}, {"n": 2.5}, {"seed": 0.5}, {"seed": -1}):
         with pytest.raises(InvalidInputError):
             TargetSpec(**{"kind": "random", "n": 4, **bad})
     numpy_ints = TargetSpec("random", np.int64(3), bond=np.int32(2), seed=np.uint8(4))
     assert seqmps.make_target(numpy_ints).n == 3
     for maker in (seqmps.ghz_state, seqmps.w_state, seqmps.cluster_state):
+        for bad in (1, 2.0):
+            with pytest.raises(InvalidInputError):
+                maker(bad)
+    for args in ((4, 0, 0), (4, 2.5, 1), (4, 2, 1.5)):
         with pytest.raises(InvalidInputError):
-            maker(1)
+            seqmps.random_mps(*args)
     with pytest.raises(InvalidInputError):
-        seqmps.random_mps(4, 0, seed=0)
+        seqmps.xxz_ground(4.0, 1.0)
+    # A one-bit count outside 0..n used to give a 0 x 0 block.
+    for n, ones in ((3.0, None), (4, 99), (4, -1), (4, 2.5)):
+        with pytest.raises(InvalidInputError):
+            seqmps.xxz_dense_hamiltonian(n, 1.0, ones=ones)
