@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .compress import METHOD_TRUNCATION, METHODS, compress_truncation, compress_variational
+from .compress import METHOD_TRUNCATION, METHODS, _als, compress_truncation, compress_variational
 from .config import OptimizationConfig
 from .errors import InvalidInputError, SeqmpsError
 from .mps import Mps
@@ -235,8 +235,8 @@ def cmd_fig1(args, failures: list) -> tuple[list[dict], dict | None]:
     errors = {}
     for state_name, target in (("xxz", xxz), ("random", rnd)):
         for d_prime in range(1, bond + 1):
-            _, rep_t = compress_truncation(target, d_prime)
-            _, rep_v = compress_variational(target, d_prime, cfg)
+            start, rep_t = compress_truncation(target, d_prime)
+            _, rep_v = _als(target, start, rep_t, cfg)
             for rep in (rep_t, rep_v):
                 rows.append(
                     {

@@ -17,15 +17,21 @@ compress_variational does alternating least squares in mixed-canonical
 gauge: with all other sites isometric, the optimal tensor at the active site
 is simply the target's environment there,
 
-    E^i = conj(above[k]) @ A^i @ below[k],
-    i.e. einsum("ab,ibc,cd->iad", conj(above[k]), at[k], below[k]),
+    E^i = above[k] @ A^i @ below[k],
+    i.e. einsum("ab,ibc,cd->iad", above[k], at[k], below[k]),
 
-and its Frobenius norm is the overlap (``below[k]`` holds sites [0, k),
-``above[k]`` sites (k, n)).  A half-sweep walks the chain once (up: site 1
-to n, down: n to 1), keeps the isometric factor of each passed site's LQ
-(up) or QR (down) split and folds it into the environment behind it.  The
-kernels, the dropped split remainder and the conjugated storage of
-``above`` are explained in the ``mps`` module docstring.
+and its Frobenius norm is the overlap (``below[k]`` holds sites [0, k) and
+``above[k]``, stored conjugated, sites (k, n)).  A half-sweep walks the chain
+once (up: site 1 to n, down: n to 1), keeps the isometric factor of each
+passed site's E, drops the triangular remainder (the next site is set to its
+environment, which never reads it) and folds the site into the environment
+behind it.  Sites are held as C-contiguous (left bond, i, right bond) arrays,
+so every reshape is free and a passed site costs three 2-D matmuls and a QR:
+
+    up:   x = (A[k] as ((left, i), right) @ below[k]) as (left, (i, right));
+          E = above[k] @ x;  q = Q of E^T;  site k = q^T;  below[k + 1] = x @ conj(q)
+    down: y = (above[k] @ A[k] as (left, (i, right))) as ((left, i), right);
+          E = y @ below[k];  q = Q of E;  site k = q;  above[k - 1] = q^dag @ y
 
 The start is the truncation result, whose sites are all isometric with unit
 boundaries: it is already in mixed-canonical gauge with its center at site 1,
@@ -36,10 +42,10 @@ the start; from then on each walk reads the side ahead of it as the previous
 walk left it, and rebuilds the side behind it, each entry before it is read.
 An up walk folds site k into ``below[k + 1]`` after the last change to site
 k (later steps touch only sites above k), so when it ends every ``below``
-entry equals a fresh fold of the current tensors, computed by the same
-kernel from the same operands: reusing it is exact, bit for bit.  The same
-holds for ``above`` after a down walk.  A half-sweep thus costs n - 1
-transfers, where re-folding the side ahead first would cost 2 (n - 1).
+entry equals a fresh fold of the current sites by the same matmuls from the
+same operands: reusing it is exact, bit for bit.  The same holds for
+``above`` after a down walk.  A half-sweep thus costs n - 1 folds, where
+re-folding the side ahead first would cost 2 (n - 1).
 
 Initialized from the truncation result, the variational error can only
 improve on truncation.
@@ -53,8 +59,8 @@ import numpy as np
 
 from .config import OptimizationConfig, check_count, non_increasing, sweep_until_stalled
 from .errors import InvalidInputError, NumericalFailureError
-from .mps import Mps, overlap, truncate_per_matrix
-from .mps import _absorb_boundaries, _require_normalized, _split_lq, _split_qr, _transfer_down, _transfer_up
+from .linalg import qr
+from .mps import Mps, _absorb_boundaries, _require_normalized, overlap, truncate_per_matrix
 from .serialize import SCHEMA
 from .tolerances import (
     COMPRESS_EXACT_ERROR,
@@ -143,19 +149,24 @@ def compress_variational(
     COMPRESS_EXACT_ERROR in error, it is returned with zero sweeps.  An error
     history that rises raises NumericalFailureError.
     """
-    if cfg is None:
-        cfg = OptimizationConfig()
     start, report = compress_truncation(target, d_prime)
+    return _als(target, start, report, OptimizationConfig() if cfg is None else cfg)
+
+
+def _als(
+    target: Mps, start: Mps, report: CompressionReport, cfg: OptimizationConfig
+) -> tuple[Mps, CompressionReport]:
+    """compress_variational from start, the truncation of target that report describes."""
     if report.error <= COMPRESS_EXACT_ERROR:
         return start, replace(report, method=METHOD_VARIATIONAL)
 
-    at = _absorb_boundaries(target)
-    ts = list(start.tensors)
+    at = [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in _absorb_boundaries(target)]
+    ts = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in start.tensors]
     n = len(ts)
     below = [np.eye(1, dtype=complex)] + [None] * (n - 1)
     above = [None] * (n - 1) + [np.eye(1, dtype=complex)]
     for k in range(n - 1, 0, -1):
-        above[k - 1] = _transfer_down(above[k], ts[k], at[k])
+        above[k - 1] = ts[k].reshape(-1, ts[k].shape[2]).conj().T @ _absorb_down(above[k], at[k])
     history: list[float] = []
     final_f = 0.0
 
@@ -176,9 +187,9 @@ def compress_variational(
     if fnorm < ZERO_NORM:
         raise InvalidInputError("variational trial collapsed to the zero state")
     ts[0] = ts[0] / fnorm
-    trial = Mps(ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex))
-    return trial, CompressionReport(
-        d_prime=d_prime,
+    trial = Mps([t.transpose(1, 0, 2) for t in ts], np.ones(1), np.ones(1))
+    return trial, replace(
+        report,
         method=METHOD_VARIATIONAL,
         error=history[-1],
         fidelity=min(final_f, FIDELITY_CLAMP),
@@ -188,32 +199,43 @@ def compress_variational(
     )
 
 
+def _absorb_up(below: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Target site a, as (left, i, right), folded onto below: x[b, (i, d)]."""
+    return (a.reshape(-1, a.shape[2]) @ below).reshape(a.shape[0], -1)
+
+
+def _absorb_down(above: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Target site a, as (left, i, right), folded onto the conjugated above: y[(a, i), c]."""
+    return (above @ a.reshape(a.shape[0], -1)).reshape(-1, a.shape[2])
+
+
 def _half_sweep(
     at: list[np.ndarray], ts: list[np.ndarray], below: list, above: list, up: bool
 ) -> float:
     """One half-sweep of local updates; returns the last overlap value.
 
-    The active site is set to its environment E (the exact local optimum),
-    then cut to the isometric factor of its split, the remainder dropped,
-    and folded into the environment behind it.  ||E||
-    equals the overlap with the target, so it can only grow from one update
-    to the next.  below and above are updated in place and kept for the next
-    half-sweep (see the module docstring).
+    The last site is left at its environment E, whose norm is the overlap
+    with the target, so it can only grow from one half-sweep to the next.
+    ts, below and above are updated in place (see the module docstring).
     """
     n = len(at)
-
-    def fold_below(k):
-        below[k + 1] = _transfer_up(below[k], at[k], ts[k])
-
-    def fold_above(k):
-        above[k - 1] = _transfer_down(above[k], ts[k], at[k])
-
-    order = range(n) if up else range(n - 1, -1, -1)
-    split, fold = (_split_lq, fold_below) if up else (_split_qr, fold_above)
-    for k in order:
-        ts[k] = above[k].conj() @ at[k] @ below[k]
-        fnorm = np.linalg.norm(ts[k])
-        if k != order[-1]:
-            ts[k] = split(ts[k])[0]
-            fold(k)
-    return float(fnorm)
+    if up:
+        for k in range(n - 1):
+            x = _absorb_up(below[k], at[k])
+            q = qr((above[k] @ x).T)[0]
+            below[k + 1] = x @ q.conj()
+            ts[k] = q.T.reshape(q.shape[1], 2, -1)
+        e = above[-1] @ _absorb_up(below[-1], at[-1])
+        ts[-1] = e.reshape(e.shape[0], 2, -1)
+    else:
+        for k in range(n - 1, 0, -1):
+            y = _absorb_down(above[k], at[k])
+            q = qr(y @ below[k])[0]
+            above[k - 1] = q.conj().T @ y
+            ts[k] = q.reshape(-1, 2, q.shape[1])
+        e = _absorb_down(above[0], at[0]) @ below[0]
+        ts[0] = e.reshape(-1, 2, e.shape[1])
+    fnorm = float(np.linalg.norm(e))
+    if not np.isfinite(fnorm):
+        raise NumericalFailureError("a compression half-sweep reached a non-finite overlap")
+    return fnorm

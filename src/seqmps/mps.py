@@ -31,9 +31,10 @@ unit-norm boundaries it implies the state itself has norm 1.
 
 Contraction kernels
 -------------------
-The transfers, folds, boundary absorption and gauge splits of ``compress``
-and ``seqgen`` live here, module-private.  Environments of <bra|ket> are
-indexed (ket bond, bra bond), and the bra enters conjugated:
+The transfers and folds of ``seqgen`` and ``overlap``, and the boundary
+absorption and gauge splits of compression, live here, module-private.
+Environments of <bra|ket> are indexed (ket bond, bra bond), and the bra
+enters conjugated:
 
     _transfer_up(left, ket, bra)[a, d] = sum_i ket^i[a, b] left[b, c] conj(bra^i[d, c])
     _transfer_down(tail, ket, bra)[..., b, c] = sum_i tail[..., p, q] ket^i[p, b] conj(bra^i[q, c])
@@ -51,15 +52,12 @@ With ket bonds D and bra bonds D' each step costs O(D^2 D' + D D'^2), so a
 fold over n sites is O(n D^3) at D' = D, where the three-operand sum written
 above, done in one loop over all indices, would be O(n D^4).  Every other
 site contraction here (gauge pushes, boundary absorption, dense conversion)
-is one matmul as well.  Compression stores its down environments
-conjugated, with the trial as ket: its sum_i X^i^dag N A^i equals
-conj(_transfer_down(conj(N), X, A)) term for term, so its results stay
-bit-identical, which the transposed form with the target as ket would not.
-``_split_lq`` (t^i = l @ site^i) and ``_split_qr`` (t^i = site^i @ r) return
-(isometric site, remainder).  ``truncate_per_matrix`` pushes l into the site
-above; ALS drops the remainder, because the next site is set to its
-environment, which never reads that site's value.  ``_canonicalize_down`` is
-the SVD sweep of both canonical forms.
+is one matmul as well.  Compression's sweeps fold the same environments
+with 2-D matmuls of their own, on sites held as (left bond, i, right bond)
+and with the down side kept conjugated (see the ``compress`` docstring).
+``_split_lq`` (t^i = l @ site^i) returns (isometric site, l), and
+``truncate_per_matrix`` pushes l into the site above.  ``_canonicalize_down``
+is the SVD sweep of both canonical forms.
 """
 
 from __future__ import annotations
@@ -221,12 +219,6 @@ def _split_lq(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LQ split t^i = l @ site^i: (site with orthonormal (left, i) rows, l)."""
     q, r = qr(t.transpose(1, 0, 2).reshape(t.shape[1], 2 * t.shape[2]).conj().T)
     return q.conj().T.reshape(-1, 2, t.shape[2]).transpose(1, 0, 2), r.conj().T
-
-
-def _split_qr(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR split t^i = site^i @ r: (left-canonical site, r)."""
-    q, r = qr(t.reshape(2 * t.shape[1], t.shape[2]))
-    return q.reshape(2, t.shape[1], -1), r
 
 
 def _numerical_rank(s: np.ndarray) -> int:

@@ -118,6 +118,28 @@ def test_fig1_small_scan(tmp_path):
     assert max(full) < 1e-10
 
 
+FIG1_SMALL = ["--command", "fig1", "--n", "6", "--bond", "4"]
+
+
+def test_fig1_truncates_each_pair_once(monkeypatch, capsys):
+    keeps = []
+    truncate = compress.truncate_per_matrix
+    monkeypatch.setattr(
+        compress, "truncate_per_matrix", lambda m, keep: keeps.append(keep) or truncate(m, keep)
+    )
+    assert main(FIG1_SMALL) == 0
+    out = capsys.readouterr().out
+    assert keeps == [1, 2, 3, 4] * 2
+    # The same bytes as compress_variational beside compress_truncation, which
+    # truncates each pair a second time.
+    monkeypatch.setattr(
+        cli, "_als", lambda target, start, report, cfg: seqmps.compress_variational(target, report.d_prime, cfg)
+    )
+    assert main(FIG1_SMALL) == 0
+    assert capsys.readouterr().out == out
+    assert len(keeps) == 8 + 16
+
+
 def test_fig3_couplings_only_vs_ancilla(tmp_path):
     code, out = run_to_file(tmp_path, "fig3.csv", ["--command", "fig3", "--n", "4"])
     assert code == 0
@@ -254,6 +276,30 @@ def test_non_monotone_compression_history_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(compress, "_half_sweep", falling)
     code = main(COMPRESS_XXZ + ["--max-sweeps", "2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error"] == "NumericalFailureError"
+
+
+def test_qr_failure_inside_a_walk_exits_2(monkeypatch, capsys):
+    # The truncation start runs QRs of its own; fail only those of the walk.
+    real_qr, truncation = np.linalg.qr, compress.compress_truncation
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected qr failure")
+
+    def truncate_then_fail_qr(*args):
+        monkeypatch.setattr(np.linalg, "qr", real_qr)
+        result = truncation(*args)
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        return result
+
+    monkeypatch.setattr(compress, "compress_truncation", truncate_then_fail_qr)
+    with pytest.raises(seqmps.NumericalFailureError):
+        seqmps.compress_variational(seqmps.xxz_ground(6, 1.0), 2)
+    monkeypatch.setattr(np.linalg, "qr", real_qr)
+    code = main(COMPRESS_XXZ)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["status"] == "error"
