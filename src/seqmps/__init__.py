@@ -22,13 +22,6 @@ from .errors import (
     NumericalFailureError,
     SeqmpsError,
 )
-from .linalg import (
-    eigh,
-    expm_hermitian,
-    haar_unitary,
-    procrustes_unitary,
-    svd,
-)
 from .mps import (
     Mps,
     canonicalize_left,
@@ -44,11 +37,8 @@ from .seqgen import (
     FidelityReport,
     GeneratorModel,
     Protocol,
-    ancilla_operator_basis,
-    build_step_unitary,
     default_config,
     fidelity,
-    fidelity_vector,
     make_protocol,
     optimize,
     pauli_coefficients,
@@ -63,7 +53,6 @@ from .states import (
     w_state,
     xxz_dense_hamiltonian,
     xxz_ground,
-    xxz_ground_vector,
 )
 
 __version__ = "0.1.0"
@@ -82,20 +71,14 @@ __all__ = [
     "Protocol",
     "SeqmpsError",
     "TargetSpec",
-    "ancilla_operator_basis",
-    "build_step_unitary",
     "canonicalize_left",
     "cluster_state",
     "compress_truncation",
     "compress_variational",
     "default_config",
-    "eigh",
-    "expm_hermitian",
     "fidelity",
-    "fidelity_vector",
     "from_state_vector",
     "ghz_state",
-    "haar_unitary",
     "make_protocol",
     "make_target",
     "norm",
@@ -103,14 +86,11 @@ __all__ = [
     "optimize",
     "overlap",
     "pauli_coefficients",
-    "procrustes_unitary",
     "random_mps",
     "simulate",
-    "svd",
     "to_state_vector",
     "truncate_per_matrix",
     "w_state",
     "xxz_dense_hamiltonian",
     "xxz_ground",
-    "xxz_ground_vector",
 ]

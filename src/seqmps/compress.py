@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OptimizationConfig, check_count, non_increasing, sweep_until_stalled
+from .config import OptimizationConfig, check_count, non_increasing, stalled
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import qr
 from .mps import Mps, _absorb_boundaries, _require_normalized, overlap, truncate_per_matrix
@@ -168,16 +168,15 @@ def _als(
     for k in range(n - 1, 0, -1):
         above[k - 1] = ts[k].reshape(-1, ts[k].shape[2]).conj().T @ _absorb_down(above[k], at[k])
     history: list[float] = []
-    final_f = 0.0
-
-    def full_sweep() -> float:
-        nonlocal final_f
+    for sweeps in range(1, cfg.max_sweeps + 1):
+        prev = history[-1] if history else report.error
         for up in (True, False):
             final_f = _half_sweep(at, ts, below, above, up)
             history.append(2.0 * (1.0 - min(final_f, FIDELITY_CLAMP)))
-        return history[-1]
-
-    sweeps, converged = sweep_until_stalled(full_sweep, report.error, cfg)
+        # A Python bool: the report's JSON row refuses numpy's.
+        converged = bool(stalled(prev, history[-1], cfg))
+        if converged:
+            break
     if not non_increasing(history):
         raise NumericalFailureError("the compression error history is not non-increasing")
 

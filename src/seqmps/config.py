@@ -35,20 +35,6 @@ def stalled(prev, cost, cfg, good_enough=None):
     return done if good_enough is None else done | (cost <= good_enough)
 
 
-def sweep_until_stalled(full_sweep, cost: float, cfg) -> tuple[int, bool]:
-    """Call full_sweep() until the cost stalls; returns (sweeps, converged).
-
-    cost is the cost before the first sweep and full_sweep() returns the cost
-    after each.  The run stops converged once stalled() holds, and
-    unconverged after cfg.max_sweeps sweeps.
-    """
-    for sweep in range(1, cfg.max_sweeps + 1):
-        prev, cost = cost, full_sweep()
-        if stalled(prev, cost, cfg):
-            return sweep, True
-    return cfg.max_sweeps, False
-
-
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Knobs for sweeping optimizers.

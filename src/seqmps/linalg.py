@@ -40,6 +40,15 @@ def _as_matrix(a, name: str, stacked: bool = False, keep_real: bool = False) -> 
     return a
 
 
+def _lapack(kernel, *args, **kwargs):
+    """kernel(*args, **kwargs), a numpy.linalg routine, with a LAPACK failure as NumericalFailureError."""
+    try:
+        return kernel(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK does not expose its iteration count; forward its diagnostic.
+        raise NumericalFailureError(f"{kernel.__name__} failed: {exc}") from exc
+
+
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy singular value decomposition a = u @ diag(s) @ vdag, as (u, s, vdag).
 
@@ -51,16 +60,7 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     input or fewer than two axes, and NumericalFailureError if the LAPACK
     kernel does not converge.
     """
-    return _lapack_svd(_as_matrix(a, "a", stacked=True))
-
-
-def _lapack_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numpy's economy SVD of a validated (stack of) matrices, with the error contract."""
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK does not expose its iteration count; forward its diagnostic.
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+    return _lapack(np.linalg.svd, _as_matrix(a, "a", stacked=True), full_matrices=False)
 
 
 def qr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -68,11 +68,7 @@ def qr(a) -> tuple[np.ndarray, np.ndarray]:
 
     Errors as for svd: InvalidInputError for bad input, NumericalFailureError from LAPACK.
     """
-    a = _as_matrix(a, "a")
-    try:
-        return np.linalg.qr(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"QR failed: {exc}") from exc
+    return _lapack(np.linalg.qr, _as_matrix(a, "a"))
 
 
 def _as_hermitian(h, name: str) -> np.ndarray:
@@ -97,11 +93,7 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     must be Hermitian within HERMITICITY_ATOL (scaled by max(1, |h|)); a
     real symmetric h is factored as given, without a complex copy.
     """
-    h = _as_hermitian(h, "h")
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigh did not converge: {exc}") from exc
+    return _lapack(np.linalg.eigh, _as_hermitian(h, "h"))
 
 
 def expm_hermitian(h) -> np.ndarray:
@@ -121,11 +113,8 @@ def logm_unitary(u) -> np.ndarray:
     u = _as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
         raise InvalidInputError(f"u must be square, got shape {u.shape}")
-    try:
-        w, v = np.linalg.eig(u)
-        q, _ = np.linalg.qr(v)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    w, v = _lapack(np.linalg.eig, u)
+    q, _ = _lapack(np.linalg.qr, v)
     # With v = q r, q^dag u q = r diag(w) r^-1 is a Schur form of u (Golub &
     # Van Loan, Matrix Computations, 7.1), and a normal triangular matrix is
     # diagonal: q is an orthonormal eigenbasis, which v is not within a cluster of w.
@@ -145,7 +134,7 @@ def procrustes_unitary(env) -> np.ndarray:
     env = _as_matrix(env, "env", stacked=True)
     if env.shape[-1] != env.shape[-2]:
         raise InvalidInputError(f"env must be square, got shape {env.shape}")
-    u, _, vdag = _lapack_svd(env.conj().swapaxes(-1, -2))
+    u, _, vdag = _lapack(np.linalg.svd, env.conj().swapaxes(-1, -2), full_matrices=False)
     return u @ vdag
 
 

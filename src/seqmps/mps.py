@@ -31,8 +31,9 @@ unit-norm boundaries it implies the state itself has norm 1.
 
 Contraction kernels
 -------------------
-The transfers and folds of ``seqgen`` and ``overlap``, and the boundary
-absorption and gauge splits of compression, live here, module-private.
+The transfers and folds of ``seqgen`` and ``overlap``, the boundary
+absorption that compression reads and the gauge splits of truncation live
+here, module-private.
 Environments of <bra|ket> are indexed (ket bond, bra bond), and the bra
 enters conjugated:
 
@@ -154,7 +155,7 @@ class Mps:
             "bond_dims": self.bond_dims,
             "tensors": [complex_to_pairs(t) for t in self.tensors],
             "phi_i": complex_to_pairs(self.phi_i),
-            "phi_f": None if self.phi_f is None else complex_to_pairs(self.phi_f),
+            "phi_f": complex_to_pairs(self.phi_f),
         }
         return json.dumps(doc)
 
@@ -163,11 +164,10 @@ class Mps:
         """Inverse of to_json; a "gauge_tag" key left by older versions is ignored."""
 
         def build(doc):
-            phi_f = doc["phi_f"]
             return Mps(
                 [pairs_to_complex(t) for t in doc["tensors"]],
                 pairs_to_complex(doc["phi_i"]),
-                None if phi_f is None else pairs_to_complex(phi_f),
+                pairs_to_complex(doc["phi_f"]),
             )
 
         return load_document(text, build)
@@ -351,9 +351,9 @@ def truncate_per_matrix(m: Mps, keep: int) -> Mps:
         ts[k + 1] = ts[k + 1] @ l
     # Downward pass: keep the largest singular values of each site.
     _canonicalize_down(ts, lambda s: min(keep, s.size))
-    t = ts[0]
-    stacked = t.reshape(2 * t.shape[1], t.shape[2])
-    u, s, vdag = svd(stacked)
-    # Keeping the top singular direction normalizes; vdag preserves phase.
-    ts[0] = (u[:, :1] * vdag[0, 0]).reshape(2, t.shape[1], 1)
+    # Site 1 holds phi_i, so it is one column: dividing by its norm normalizes.
+    fnorm = np.linalg.norm(ts[0])
+    if fnorm < ZERO_NORM:
+        raise DegenerateStateError("cannot truncate a (numerically) zero state")
+    ts[0] = ts[0] / fnorm
     return Mps(ts, np.ones(1, dtype=complex), np.ones(1, dtype=complex))

@@ -472,10 +472,6 @@ class Protocol:
         return {key: a for key, a in params.items() if a is not None}
 
     def to_json(self) -> str:
-        def opt(key):
-            a = getattr(self, key)
-            return None if a is None else complex_to_pairs(a)
-
         doc = {
             "schema": SCHEMA,
             "n": self.n,
@@ -483,24 +479,20 @@ class Protocol:
             "couplings": None if self.couplings is None else self.couplings.tolist(),
             "qubit_inits": complex_to_pairs(self.qubit_inits),
             "phi_i": complex_to_pairs(self.phi_i),
-            **{key: opt(key) for key in _LOCAL_FIELDS.values()},
-            "fixed_gate": opt("fixed_gate"),
+            **{key: complex_to_pairs(getattr(self, key)) for key in (*_LOCAL_FIELDS.values(), "fixed_gate")},
         }
         return json.dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "Protocol":
         def build(doc):
-            def opt(key):
-                return None if doc[key] is None else pairs_to_complex(doc[key])
-
             return Protocol(
                 n=doc["n"],
                 model=GeneratorModel(doc["model"]["kind"], doc["model"]["d_ancilla"]),
                 couplings=None if doc["couplings"] is None else np.asarray(doc["couplings"]),
                 qubit_inits=pairs_to_complex(doc["qubit_inits"]),
                 phi_i=pairs_to_complex(doc["phi_i"]),
-                **{key: opt(key) for key in (*_LOCAL_FIELDS.values(), "fixed_gate")},
+                **{key: pairs_to_complex(doc[key]) for key in (*_LOCAL_FIELDS.values(), "fixed_gate")},
             )
 
         return load_document(text, build)
@@ -525,11 +517,9 @@ def make_protocol(
     check_count(n, "n", 1)
     d = model.d_ancilla
     if qubit_inits is None:
-        qubit_inits = np.zeros((n, 2), dtype=complex)
-        qubit_inits[:, 0] = 1.0
+        qubit_inits = np.tile(_basis_vec(2), (n, 1))
     if phi_i is None:
-        phi_i = np.zeros(d, dtype=complex)
-        phi_i[0] = 1.0
+        phi_i = _basis_vec(d)
     eye_stack = lambda dim: np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy()
     return Protocol(
         n=n,

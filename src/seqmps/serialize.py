@@ -37,15 +37,19 @@ def load_document(text: str, build):
         raise InvalidInputError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
 
-def complex_to_pairs(a: np.ndarray) -> list:
-    """Nested lists mirroring a's shape, innermost entries [re, im]."""
+def complex_to_pairs(a: np.ndarray | None) -> list | None:
+    """Nested lists mirroring a's shape, innermost entries [re, im]; None stays None."""
+    if a is None:
+        return None
     a = np.asarray(a, dtype=complex)
     stacked = np.stack([a.real, a.imag], axis=-1)
     return stacked.tolist()
 
 
-def pairs_to_complex(pairs) -> np.ndarray:
+def pairs_to_complex(pairs) -> np.ndarray | None:
     """Inverse of complex_to_pairs."""
+    if pairs is None:
+        return None
     arr = np.asarray(pairs, dtype=float)
     return arr[..., 0] + 1j * arr[..., 1]
 

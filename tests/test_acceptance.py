@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 import seqmps
+import seqmps.linalg as linalg
 from seqmps import GeneratorModel, Protocol, TargetSpec
 from seqmps.cli import main
 
@@ -135,7 +136,7 @@ def test_criterion_7_oracle_equivalence_suites():
                 n=n, model=model, couplings=couplings, qubit_inits=inits,
                 phi_i=[1.0, 0.0],
                 local_ancilla=np.stack(
-                    [seqmps.haar_unitary(2, prng) for _ in range(n)]
+                    [linalg.haar_unitary(2, prng) for _ in range(n)]
                 ),
             )
             joint = oracles.dense_joint_state(p)

@@ -35,6 +35,28 @@ def test_truncation_report_matches_dense_distance():
         assert report.sweep_history == []
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "xxz"]),
+    n=st.integers(2, 12),
+    bond=st.integers(2, 8),
+    delta=st.floats(-0.9, 2.0),
+    d_prime=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="xxz", n=10, bond=2, delta=1.0, d_prime=2, seed=0)
+def test_truncation_error_is_bounded_by_discarded_weight(kind, n, bond, delta, d_prime, seed):
+    # Each cut's truncation costs at most its discarded Schmidt weight eps in
+    # squared distance (Verstraete & Cirac, PRB 73, 094423 (2006)), so the
+    # error is at most 2 sum(eps).  It can exceed sum(eps) itself: the
+    # ratio error / sum(eps) reaches 1.10 on random targets.
+    target = seqmps.random_mps(n, bond, seed=seed) if kind == "random" else seqmps.xxz_ground(10, delta)
+    psi = seqmps.to_state_vector(target)
+    eps = sum(float(np.sum(schmidt_values(psi, cut)[d_prime:] ** 2)) for cut in range(1, target.n))
+    _, report = seqmps.compress_truncation(target, d_prime)
+    assert report.error <= 2.0 * eps + 1e-12
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(["random", "xxz", "cluster"]),

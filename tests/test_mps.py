@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqmps
-from seqmps import CapacityError, InvalidInputError, Mps
+import seqmps.linalg as linalg
+import seqmps.seqgen as seqgen
+from seqmps import CapacityError, DegenerateStateError, InvalidInputError, Mps
 from seqmps.mps import _fold_up, _transfer_down, _transfer_up
 
 from oracles import dense_from_mps, isometry_residual, random_state, schmidt_values
@@ -296,6 +298,13 @@ def test_truncation_output_contract():
         seqmps.truncate_per_matrix(random_raw_mps(4, 3, seed=1, closed=False), 2)
 
 
+def test_truncating_the_zero_state_is_degenerate():
+    # Truncation normalizes its result, which the zero state has no direction for.
+    zero = Mps([np.zeros((2, 1, 1))] * 3, [1.0], [1.0])
+    with pytest.raises(DegenerateStateError):
+        seqmps.truncate_per_matrix(zero, 1)
+
+
 def test_truncation_error_decreases_with_keep():
     m = seqmps.xxz_ground(8, 1.0)
     dense = seqmps.to_state_vector(m)
@@ -368,9 +377,9 @@ def test_transfer_kernels_agree_with_fidelity_vector_for_an_open_ket(bra_dims, d
         couplings=rng.uniform(-1.0, 1.0, (n, model.param_count)),
         qubit_inits=inits / np.linalg.norm(inits, axis=1, keepdims=True),
         phi_i=phi_i / np.linalg.norm(phi_i),
-        local_ancilla=np.stack([seqmps.haar_unitary(d, rng) for _ in range(n)]),
+        local_ancilla=np.stack([linalg.haar_unitary(d, rng) for _ in range(n)]),
     )
-    ref = seqmps.fidelity_vector(p, a)
+    ref = seqgen.fidelity_vector(p, a)
     ket = seqmps.simulate(p)
     left = np.outer(ket.phi_i, a.phi_i.conj())
     tail = np.einsum("gp,q->gpq", np.eye(d), a.phi_f)

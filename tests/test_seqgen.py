@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqmps
+import seqmps.linalg as linalg
 import seqmps.seqgen as seqgen
 from seqmps import (
     CNOT,
@@ -35,7 +36,7 @@ from oracles import (
 
 
 def random_unitary(dim, seed):
-    return seqmps.haar_unitary(dim, np.random.default_rng(seed))
+    return linalg.haar_unitary(dim, np.random.default_rng(seed))
 
 
 def random_protocol(model, n, seed, locals_on=True):
@@ -48,7 +49,7 @@ def random_protocol(model, n, seed, locals_on=True):
     phi_i /= np.linalg.norm(phi_i)
     stack = None
     if locals_on:
-        stack = np.stack([seqmps.haar_unitary(model.d_ancilla, rng) for _ in range(n)])
+        stack = np.stack([linalg.haar_unitary(model.d_ancilla, rng) for _ in range(n)])
     return Protocol(
         n=n,
         model=model,
@@ -58,10 +59,10 @@ def random_protocol(model, n, seed, locals_on=True):
         local_ancilla=stack,
         local_qubit_pre=None
         if not locals_on
-        else np.stack([seqmps.haar_unitary(2, rng) for _ in range(n)]),
+        else np.stack([linalg.haar_unitary(2, rng) for _ in range(n)]),
         local_qubit_post=None
         if not locals_on
-        else np.stack([seqmps.haar_unitary(2, rng) for _ in range(n)]),
+        else np.stack([linalg.haar_unitary(2, rng) for _ in range(n)]),
     )
 
 
@@ -88,7 +89,7 @@ def basis_phi(d, k):
 
 def test_ancilla_operator_basis_is_orthogonal_and_hermitian():
     for d in (2, 3, 4):
-        basis = seqmps.ancilla_operator_basis(d)
+        basis = seqgen.ancilla_operator_basis(d)
         assert len(basis) == d * d
         for j, bj in enumerate(basis):
             assert np.abs(bj - bj.conj().T).max() < 1e-12
@@ -96,7 +97,7 @@ def test_ancilla_operator_basis_is_orthogonal_and_hermitian():
                 tr = np.trace(bj @ bk)
                 if j != k:
                     assert abs(tr) < 1e-12
-    two = seqmps.ancilla_operator_basis(2)
+    two = seqgen.ancilla_operator_basis(2)
     for got, ref in zip(two, oracles.PAULI):
         assert np.abs(got - ref).max() < 1e-12
 
@@ -183,7 +184,7 @@ def test_build_step_unitary_factor_order():
     ua = random_unitary(2, 10)
     pre = random_unitary(2, 11)
     post = random_unitary(2, 12)
-    u = seqmps.build_step_unitary(model, params, ua=ua, ub_pre=pre, ub_post=post)
+    u = seqgen.build_step_unitary(model, params, ua=ua, ub_pre=pre, ub_post=post)
     core = scipy.linalg.expm(-1j * dense_generator(model, params))
     ref = (
         np.kron(ua, np.eye(2))
@@ -192,18 +193,18 @@ def test_build_step_unitary_factor_order():
         @ np.kron(np.eye(2), post)
     )
     assert np.abs(u - ref).max() < 1e-12
-    partial = seqmps.build_step_unitary(model, params, ua=ua)
+    partial = seqgen.build_step_unitary(model, params, ua=ua)
     assert np.abs(partial - np.kron(ua, np.eye(2)) @ core).max() < 1e-12
 
 
 def test_build_step_unitary_fixed_gate():
     model = GeneratorModel("xy")
-    u = seqmps.build_step_unitary(model, None, fixed_gate=CNOT)
+    u = seqgen.build_step_unitary(model, None, fixed_gate=CNOT)
     assert np.abs(u - CNOT).max() == 0.0
     with pytest.raises(InvalidInputError):
-        seqmps.build_step_unitary(model, None)
+        seqgen.build_step_unitary(model, None)
     with pytest.raises(InvalidInputError):
-        seqmps.build_step_unitary(model, None, fixed_gate=np.ones((4, 4)))
+        seqgen.build_step_unitary(model, None, fixed_gate=np.ones((4, 4)))
 
 
 @pytest.mark.parametrize("slot", ["ua", "ub_pre", "ub_post"])
@@ -215,7 +216,7 @@ def test_build_step_unitary_checks_locals(slot, bad):
         "wrong_shape": np.eye(3),
     }[bad]
     with pytest.raises(InvalidInputError):
-        seqmps.build_step_unitary(GeneratorModel("xy"), [0.3], **{slot: local})
+        seqgen.build_step_unitary(GeneratorModel("xy"), [0.3], **{slot: local})
 
 
 def test_fixed_gate_is_checked_when_the_protocol_is_built():
@@ -389,7 +390,7 @@ def test_fidelity_is_invariant_under_a_target_gauge(kind, n, bond, seed):
     # G_k on bond k: site k + 1 becomes G_{k+1} A G_k^-1, phi_i G_0 phi_i and
     # phi_f G_n^-dag phi_f.  Column scales in [0.5, 2] keep every G_k's
     # condition number at most 4.
-    gauges = [seqmps.haar_unitary(dim, rng) * rng.uniform(0.5, 2.0, dim)
+    gauges = [linalg.haar_unitary(dim, rng) * rng.uniform(0.5, 2.0, dim)
               for dim in target.bond_dims]
     inverses = [np.linalg.inv(g) for g in gauges]
     tensors = [gauges[k + 1] @ t @ inverses[k] for k, t in enumerate(target.tensors)]
@@ -563,7 +564,7 @@ def test_optimized_ancilla_rotation_is_procrustes_optimal(all_locals_optimum, fi
     rng = np.random.default_rng(123)
     for _ in range(1000):
         stack = np.array(getattr(p, field))
-        stack[1] = seqmps.haar_unitary(stack.shape[1], rng)
+        stack[1] = linalg.haar_unitary(stack.shape[1], rng)
         trial = dataclasses.replace(p, **{field: stack})
         assert seqmps.fidelity(trial, target).fidelity <= report.fidelity + 1e-10
 
@@ -585,11 +586,11 @@ def test_optimized_full_pauli_core_is_procrustes_optimal(full_pauli_optimum):
     target, p, report = full_pauli_optimum
     core = p.model.entangler(p.couplings[1])
     rng = np.random.default_rng(124)
-    trials = [seqmps.haar_unitary(4, rng) for _ in range(1000)]
+    trials = [linalg.haar_unitary(4, rng) for _ in range(1000)]
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
         for _ in range(25):
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            trials.append(seqmps.expm_hermitian(eps * (a + a.conj().T)) @ core)
+            trials.append(linalg.expm_hermitian(eps * (a + a.conj().T)) @ core)
     for u in trials:
         couplings = p.couplings.copy()
         couplings[1] = oracles.pauli_log_couplings(u)
@@ -780,7 +781,7 @@ BONDS = st.lists(st.integers(1, 4), min_size=2, max_size=2)
 def test_step_map_matches_its_definition(d, bonds, seed):
     rng = np.random.default_rng(seed)
     l_env, bra, t_env, init = random_step_environments(rng, d, bonds)
-    u, w = (seqmps.haar_unitary(2 * d, rng) for _ in range(2))
+    u, w = (linalg.haar_unitary(2 * d, rng) for _ in range(2))
     kmat = seqgen._step_map(l_env, bra, t_env, init)
     v = kmat @ u.ravel()
     # The two-tensordot evaluation the map replaces.
@@ -807,7 +808,7 @@ def test_step_map_matches_its_definition(d, bonds, seed):
 )
 def test_log_couplings_reproduce_the_unitary(d, near, spread, seed):
     rng = np.random.default_rng(seed)
-    u = seqmps.haar_unitary(2 * d, rng)
+    u = linalg.haar_unitary(2 * d, rng)
     if near is not None:
         # Eigenphases within spread of 0 (near = 1) or of pi (near = -1).
         u = near * (u * np.exp(1j * spread * rng.standard_normal(2 * d))) @ u.conj().T
@@ -835,7 +836,7 @@ POWER_ATOL_PER_BETA = 32.0 * np.finfo(float).eps
 )
 def test_projected_squares_are_the_integer_powers(d, near, spread, seed):
     rng = np.random.default_rng(seed)
-    delta = seqmps.haar_unitary(d, rng)
+    delta = linalg.haar_unitary(d, rng)
     if near is not None:
         # Eigenphases within spread of 0 (near = 1) or of pi (near = -1).
         delta = near * (delta * np.exp(1j * spread * rng.standard_normal(d))) @ delta.conj().T
@@ -860,7 +861,7 @@ def bell_coupling_case(kind_m, bonds, seed):
     kmat /= 2.0 * np.linalg.norm(kmat, 2)  # |v| <= 1 for every 4x4 unitary
     lo, hi = model.coupling_interval()
     params = rng.uniform(lo, hi, model.param_count)
-    ua, pre, post = (seqmps.haar_unitary(2, rng)[None] for _ in range(3))
+    ua, pre, post = (linalg.haar_unitary(2, rng)[None] for _ in range(3))
     p = Protocol(1, model, params[None], [[1.0, 0.0]], [1.0, 0.0], ua, pre, post)
     chain = [(slot, f[0]) for slot, f in seqgen._chain(p, p._params, (1,))]
     j = [slot for slot, _ in chain].index("core")

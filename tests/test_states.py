@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqmps
+import seqmps.states as states
 from seqmps import CapacityError, InvalidInputError, TargetSpec
 
 from oracles import dense_from_mps, dense_xxz_hamiltonian, isometry_residual
@@ -87,7 +88,7 @@ def test_xxz_dense_hamiltonian_matches_kron_oracle():
 
 def test_xxz_two_site_singlet():
     # XX + YY + ZZ on two qubits has the singlet at energy -3.
-    vec = seqmps.xxz_ground_vector(2, 1.0)
+    vec = states.xxz_ground_vector(2, 1.0)
     h = dense_xxz_hamiltonian(2, 1.0)
     energy = np.vdot(vec, h @ vec).real
     assert abs(energy - (-3.0)) < 1e-10
@@ -117,7 +118,7 @@ def test_xxz_ground_odd_chain_takes_the_fewer_ones_sector():
     # with two, and the flip alone is no reason to warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vec = seqmps.xxz_ground_vector(5, 0.4)
+        vec = states.xxz_ground_vector(5, 0.4)
         m = seqmps.xxz_ground(5, 0.4)
     assert np.all(vec[one_bits(5) != 2] == 0.0)
     h = dense_xxz_hamiltonian(5, 0.4)
@@ -156,7 +157,7 @@ def test_xxz_ground_warns_on_a_degeneracy_inside_a_sector(monkeypatch):
 
     monkeypatch.setattr(seqmps.states, "eigh", tied)
     with pytest.warns(UserWarning, match="degenerate"):
-        vec = seqmps.xxz_ground_vector(4, 1.0)
+        vec = states.xxz_ground_vector(4, 1.0)
     assert np.all(vec[one_bits(4) != 2] == 0.0)
 
 
@@ -181,7 +182,7 @@ def test_xxz_sector_blocks_are_the_oracle_blocks(n, delta):
 def test_xxz_ground_vector_is_a_lowest_eigenvector_in_one_sector(n, delta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ties between sectors warn, e.g. at delta = -1
-        vec = seqmps.xxz_ground_vector(n, delta)
+        vec = states.xxz_ground_vector(n, delta)
     h = dense_xxz_hamiltonian(n, delta)
     e0 = scipy.linalg.eigvalsh(h)[0]
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
