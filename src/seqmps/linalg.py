@@ -140,7 +140,11 @@ def procrustes_unitary(env) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary (QR of a Ginibre matrix, phase-fixed)."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _phase_fixed_qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def _phase_fixed_qr(z) -> np.ndarray:
+    """q of z = q r times the phases of r's diagonal, per matrix of a stack: Haar for Ginibre z."""
+    q, r = _lapack(np.linalg.qr, _as_matrix(z, "z", stacked=True))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

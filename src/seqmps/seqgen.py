@@ -27,11 +27,12 @@ couplings of a Bell-diagonal core; absent locals and a fixed gate are left
 out.  One builder, _chain, turns a record into every step's ordered factor
 chain [(slot, 2d x 2d stack)], multiplied out from the right; site tensors,
 step unitaries and the sweep state all come from it.  The factors are
-updated one at a time against their environment
-(Evenbly & Vidal, PRB 79, 144108 (2009)).  The ancilla vector of a step is
-linear in its unitary, v = K vec(U), and the map K (d x 4d^2) is built once
-per step from the two environments, the target site and the qubit init;
-folding the other factors into K gives the same kind of map for each factor.
+updated one at a time against their environment (Evenbly & Vidal, PRB 79,
+144108 (2009)).  The ancilla vector of a step is linear in its unitary,
+v = K vec(U), and the map K (d x 4d^2) is built per step update from the two
+environments, the target site and the qubit init; a step updated twice in a
+row, where a walk turns, starts from the map and vector it ended with.
+Folding the other factors into K gives the same kind of map for each factor.
 With phi_f frozen at its current optimum the objective is Re(phi_f^dag v).
 A unitary slot takes the Procrustes solution of its map contracted with
 phi_f and partial-traced over the identity part of its factor (none for the
@@ -46,13 +47,14 @@ couplings are read off the core's principal logarithm once, at the end.
 After every full sweep a safeguarded geodesic extrapolation (kept only when
 it lowers the cost) jumps along the slow near-linear mode that plain
 coordinate sweeps crawl down; it takes integer powers of each unitary slot's
-last move by projected squaring, with no eigendecomposition.
+last move by projected squaring, with no eigendecomposition, and scores
+every baseline's first candidate in one stack.
 
-Restarts sweep in lockstep batches along a leading restart axis, which
-every step kernel lets ride along; each row computes the bits it computes
-alone.  A batch's _SweepState owns everything that follows its rows: the
-parameters, chains, sites, environments and extrapolation snapshots.  The
-batches and when a row leaves one are described at optimize.
+Restarts sweep in lockstep batches along a leading restart axis, which every
+step kernel lets ride along; each row computes the bits it computes alone.
+A batch's _SweepState owns everything that follows its rows: the parameters,
+chains, sites, environments and extrapolation snapshots.  The batches, their
+random starts and when a row leaves one are described at optimize.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
     SIGMA,
     _as_hermitian,
+    _phase_fixed_qr,
     expm_hermitian,
-    haar_unitary,
     logm_unitary,
     procrustes_unitary,
 )
@@ -629,15 +631,16 @@ class _SweepState:
     lefts[k] folds steps [0, k) and tails[k] steps (k, n) (see _sweep_once);
     their seeds lefts[0] and tails[-1] are built once and never move.  snaps
     are the parameters at the start of recent sweeps (_extrapolate_sweep).
-    Row j runs starts[rows[j]]; starts[0] gives the shared structure.
+    kept holds the last update's step map, product and vector, which a walk
+    turning on that step reuses; rechain clears it.  Row j runs restart
+    rows[j] of its wave; start gives the shared structure.
     """
 
-    def __init__(self, starts: list, target: Mps):
-        p = self.start = starts[0]
+    def __init__(self, start: Protocol, params: dict, size: int, target: Mps):
+        p = self.start = start
         self.d = p.model.d_ancilla
-        self.rows = np.arange(len(starts))
-        records = [s._params for s in starts]  # a property: each read builds a full_pauli core
-        self.params = {key: np.stack([r[key] for r in records], axis=1) for key in records[0]}
+        self.rows = np.arange(size)
+        self.params = params
         self.at, self.at_phi_f = target.tensors, target.phi_f
         tail = np.zeros((self.d, self.d, self.at_phi_f.shape[0]), dtype=complex)
         tail[np.arange(self.d), np.arange(self.d), :] = self.at_phi_f[None, :]
@@ -660,6 +663,7 @@ class _SweepState:
         """Rebuild the chain from params, take sites (by default the chain's own) and refold the tails."""
         self.chain = _chain(self.start, self.params, (self.start.n, len(self.rows)))
         self.v_sites = _sites(self.start, self.chain) if sites is None else sites
+        self.kept = {}
         for k in range(self.start.n - 1, 0, -1):
             self.tails[k - 1] = _transfer_down(self.tails[k], self.v_sites[k][:, None], self.at[k])
 
@@ -682,12 +686,13 @@ def _to_protocol(p: Protocol, params: dict) -> Protocol:
 
 
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+_GRID_PHASES = (np.exp(1j * _PHASE_GRID), np.exp(2j * _PHASE_GRID))
 
 
-def _harmonic_sum(coef, ph, exp=np.exp):
-    """c0 + 2 Re(c1 e^{i ph}) + 2 Re(c2 e^{2i ph}) for coef = (c0, c1, c2); cmath.exp serves scalars."""
+def _harmonic_sum(coef, e1, e2):
+    """c0 + 2 Re(c1 e1) + 2 Re(c2 e2) for coef = (c0, c1, c2), with e1 = e^{i ph} and e2 = e^{2i ph}."""
     c0, c1, c2 = coef
-    return c0.real + 2.0 * (c1 * exp(1j * ph)).real + 2.0 * (c2 * exp(2j * ph)).real
+    return c0.real + 2.0 * (c1 * e1).real + 2.0 * (c2 * e2).real
 
 
 def _coupling_argmax(coef, period: float, old) -> np.ndarray:
@@ -701,8 +706,10 @@ def _coupling_argmax(coef, period: float, old) -> np.ndarray:
     lower, so no cost rises.
     """
     c0, c1, c2 = (np.asarray(c) for c in coef)
-    grid = _harmonic_sum((c0[..., None], c1[..., None], c2[..., None]), _PHASE_GRID)
+    grid = _harmonic_sum((c0[..., None], c1[..., None], c2[..., None]), *_GRID_PHASES)
     start = _PHASE_GRID[np.argmax(grid, axis=-1)]
+    phase = lambda t: 2.0 * np.pi * t / period
+    overlap2 = lambda a, t: _harmonic_sum(a, cmath.exp(1j * phase(t)), cmath.exp(2j * phase(t)))
     out = []
     rows = zip(start.ravel().tolist(), np.ravel(old).tolist(), *(c.ravel().tolist() for c in (c0, c1, c2)))
     for ph, theta, *a in rows:
@@ -715,9 +722,13 @@ def _coupling_argmax(coef, period: float, old) -> np.ndarray:
                 break
             ph -= d1 / d2
         cand = ph % (2.0 * np.pi) * period / (2.0 * np.pi)
-        overlap2 = lambda t: _harmonic_sum(a, 2.0 * np.pi * t / period, cmath.exp)
-        out.append(cand if overlap2(cand) >= overlap2(theta) else theta)
+        out.append(cand if overlap2(a, cand) >= overlap2(a, theta) else theta)
     return np.reshape(out, start.shape)
+
+
+# (kind, m) -> masks of coupling m's Gram entries in harmonic h = 0, 1, 2 (T: period).
+_HARM_MASKS = {(kind, m): tuple(np.rint(np.subtract.outer(r, r) * T / (2.0 * np.pi)) == h for h in range(3))
+               for kind, (T, rows) in _BELL_KINDS.items() for m, r in enumerate(rows)}
 
 
 def _coupling_harmonics(model: GeneratorModel, params: np.ndarray, m: int, kcore: np.ndarray):
@@ -727,15 +738,13 @@ def _coupling_harmonics(model: GeneratorModel, params: np.ndarray, m: int, kcore
     so v = sum_k exp(-i theta row_k) u_k, u_k = exp(-i base_k) kcore @ vec(b_k b_k^T),
     and c_h sums the Gram entries u_k^dag u_l with (row_k - row_l) period / (2 pi) = h.
     """
-    period, rows = _BELL_KINDS[model.kind]
     others = params.copy()
     others[..., m] = 0.0
     w = (_BELL * (kcore.reshape(*kcore.shape[:-1], 4, 4) @ _BELL)).sum(axis=-2)
     u = w * np.exp(-1j * model._bell_eigenvalues(others))[..., None, :]
     gram = u.conj().swapaxes(-1, -2) @ u
-    harm = np.rint(np.subtract.outer(rows[m], rows[m]) * period / (2.0 * np.pi))
     # A masked stack comes out transposed; in C order each row sums as it would alone.
-    return tuple(np.ascontiguousarray(gram[..., harm == h]).sum(axis=-1) for h in range(3))
+    return tuple(np.ascontiguousarray(gram[..., mask]).sum(axis=-1) for mask in _HARM_MASKS[model.kind, m])
 
 
 def _sweep_once(st: _SweepState, up: bool) -> None:
@@ -769,16 +778,18 @@ def _update_step(st: _SweepState, i: int) -> None:
     place.
     """
     p = st.start
-    kmat = _step_map(st.lefts[i], st.at[i], st.tails[i], p.qubit_inits[i])
     chain = [(slot, f[i]) for slot, f in st.chain]
     # rights[j] is chain[j + 1:] multiplied out; the factors right of j move
     # only after j does, so each serves slot j's map and its new product.
     rights = [None] * len(chain)
     for j in range(len(chain) - 2, -1, -1):
         rights[j] = _product(chain[j + 1 : j + 2], rights[j + 1])
-    u = _product(chain[:1], rights[0])
-    v = _ancilla_vector(kmat, u)
-    fnorm = _norm(v)
+    if i not in st.kept:  # else a walk turns on step i: same environments and chain, nested alike
+        kmat = _step_map(st.lefts[i], st.at[i], st.tails[i], p.qubit_inits[i])
+        u = _product(chain[:1], rights[0])
+        v = _ancilla_vector(kmat, u)
+        st.kept = {i: (kmat, u, v, _norm(v))}
+    kmat, u, v, fnorm = st.kept[i]
     for j, (slot, _) in enumerate(chain):
         if slot == "core" and p.fixed_gate is not None:
             continue
@@ -803,6 +814,7 @@ def _update_step(st: _SweepState, i: int) -> None:
         fnorm = _norm(v)
         for h, f in zip(st.history, fnorm.tolist()):
             h.append(2.0 * (1.0 - min(f, FIDELITY_CLAMP)))
+    st.kept = {i: (kmat, u, v, fnorm)}
     st.v_sites[i] = _step_isometry(u, p.qubit_inits[i], st.d)
 
 
@@ -831,30 +843,42 @@ def _extrapolate_sweep(st: _SweepState) -> np.ndarray:
     Every unitary slot moves along its geodesic, c delta^beta with
     delta = base^dag c: beta is an integer, so delta is squared once per
     doubling and projected back onto the unitary group (off it, roundoff
-    makes a cost read low).  Bell couplings move
-    linearly, across their period.  Candidates are scored from their own
-    sites; each row ends with its best candidate, if any, and the state
-    rechains.  It is copied only when some rows, but not all, take one.
+    makes a cost read low).  Bell couplings move linearly, across their
+    period.  Candidates are scored from their own sites, every base's
+    beta = 1 candidate in one stack of rows; each row ends with its best
+    candidate, if any, and the state rechains.  It is copied only when some
+    rows, but not all, take one.
     """
-    cur, snaps, lead = st.params, st.snaps, (st.start.n, len(st.rows))
-    best = st.costs()
-    taken = np.zeros(best.shape, dtype=bool)
-    new_params, new_sites = cur, st.v_sites
-    for base in (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0]):
-        going = np.ones(best.shape, dtype=bool)
-        powers = {k: base[k].conj().swapaxes(-1, -2) @ c for k, c in cur.items() if k != "couplings"}
+    cur, snaps, size = st.params, st.snaps, len(st.rows)
+
+    def candidate(powers, base, beta):
+        cand = {k: cur[k] @ p for k, p in powers.items()}
         if "couplings" in cur:
             lo, hi = st.start.model.coupling_interval()
             width = hi - lo
             step = (cur["couplings"] - base["couplings"] + width / 2.0) % width - width / 2.0
+            cand["couplings"] = lo + (cur["couplings"] + beta * step - lo) % width
+        return cand
+    bases = (snaps[-1],) if len(snaps) == 1 else (snaps[-1], snaps[0])
+    moves = [{k: b[k].conj().swapaxes(-1, -2) @ c for k, c in cur.items() if k != "couplings"} for b in bases]
+    firsts = [candidate(powers, base, 1.0) for powers, base in zip(moves, bases)]
+    stacked = {k: np.concatenate([cand[k] for cand in firsts], axis=1) for k in cur}
+    first_sites = _sites(st.start, _chain(st.start, stacked, (st.start.n, len(bases) * size)))
+    first_costs = st.cost(first_sites)
+    best = st.costs()
+    taken = np.zeros(best.shape, dtype=bool)
+    new_params, new_sites = cur, st.v_sites
+    for b, (powers, base, cand) in enumerate(zip(moves, bases, firsts)):
+        going = np.ones(best.shape, dtype=bool)
         for beta in _EXTRAP_BETAS:
             if beta > 1.0:
                 powers = {k: _projected_square(p) for k, p in powers.items()}
-            cand = {k: cur[k] @ p for k, p in powers.items()}
-            if "couplings" in cur:
-                cand["couplings"] = lo + (cur["couplings"] + beta * step - lo) % width
-            sites = _sites(st.start, _chain(st.start, cand, lead))
-            trial = st.cost(sites)
+                cand = candidate(powers, base, beta)
+                sites = _sites(st.start, _chain(st.start, cand, (st.start.n, size)))
+                trial = st.cost(sites)
+            else:
+                sites = [site[b * size : (b + 1) * size] for site in first_sites]
+                trial = first_costs[b * size : (b + 1) * size]
             going &= trial < best
             if not going.any():
                 break
@@ -908,15 +932,27 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> list:
     return runs
 
 
-def _randomized(p: Protocol, rng: np.random.Generator) -> Protocol:
-    """Random restart point with the same structure as p."""
-    lo, hi = p.model.coupling_interval()
-    stack = lambda a: None if a is None else np.stack([haar_unitary(len(a[0]), rng) for _ in a])
-    return replace(
-        p,
-        couplings=None if p.couplings is None else rng.uniform(lo, hi, size=p.couplings.shape),
-        **{name: stack(getattr(p, name)) for name in _LOCAL_FIELDS.values()},
-    )
+def _wave_params(p0: Protocol, seeds: list, wave: range) -> dict:
+    """Free parameters of the restarts in wave, stacked (n, R, ...): p0's own for restart 0.
+
+    Restart r > 0 draws from default_rng(seeds[r]) as if alone: couplings
+    uniform over the coupling box, then a real and an imaginary Gaussian
+    block per matrix of ua, ub_pre and ub_post, phase-fixed by one QR per field.
+    """
+    rngs = [np.random.default_rng(seeds[r]) for r in wave if r > 0]
+    drawn = {}
+    if rngs and p0.couplings is not None:
+        lo, hi = p0.model.coupling_interval()
+        drawn["couplings"] = np.array([rng.uniform(lo, hi, size=p0.couplings.shape) for rng in rngs])
+        if p0.model.kind not in _BELL_KINDS:
+            drawn["core"] = np.array([[p0.model.entangler(c) for c in row] for row in drawn.pop("couplings")])
+    for slot, name in _LOCAL_FIELDS.items():
+        if rngs and getattr(p0, name) is not None:
+            n, dim, _ = getattr(p0, name).shape
+            g = np.array([rng.standard_normal((n, 2, dim, dim)) for rng in rngs])
+            drawn[slot] = _phase_fixed_qr(g[:, :, 0] + 1j * g[:, :, 1])
+    records = [p0._params] * (wave[0] == 0) + [{k: a[j] for k, a in drawn.items()} for j in range(len(rngs))]
+    return {key: np.stack([r[key] for r in records], axis=1) for key in records[0]}
 
 
 def default_config(**overrides) -> OptimizationConfig:
@@ -933,20 +969,21 @@ def optimize(
 ) -> tuple[Protocol, FidelityReport]:
     """Coordinate-sweep optimization of a protocol against a target MPS.
 
-    Sweeps step 1..n..1; per step, enabled local unitaries and a full_pauli
-    core get Procrustes updates and Bell-diagonal couplings their exact
-    argmax (see module docstring).  cfg.restarts independent runs, the first
-    from p0 itself and the rest from seeded random points, sweep in lockstep
+    Sweeps step 1..n..1; per step, enabled local unitaries and a full_pauli core
+    get Procrustes updates and Bell-diagonal couplings their exact argmax (see
+    module docstring).  cfg.restarts independent runs, the first from p0 itself
+    and the rest from seeded random points (a batch's drawn as one stack per
+    field by _wave_params, each bit for bit as alone), sweep in lockstep
     batches: p0's run beside the first random start, then the rest only if
     neither reaches cfg.good_enough (rows riding beside a run that solves are
-    wasted work; with good_enough None every run sweeps, all at once).  A
-    run leaves its batch when its own stopping rule fires (config.stalled,
-    or cfg.max_sweeps); once a run ends at or below cfg.good_enough, the
-    runs of later restarts leave with it.  The winner is the first run at or
-    below good_enough, else the lowest final cost (the earliest on a tie),
-    so the result, restarts_used included, is what the runs would give one
-    at a time.  The target must be closed and normalized.  Returns the
-    optimized protocol and its report.
+    wasted work; with good_enough None every run sweeps, all at once).  A run
+    leaves its batch when its own stopping rule fires (config.stalled, or
+    cfg.max_sweeps); once a run ends at or below cfg.good_enough, the runs of
+    later restarts leave with it.  The winner is the first run at or below
+    good_enough, else the lowest final cost (the earliest on a tie), so the
+    result, restarts_used included, is what the runs would give one at a time.
+    The target must be closed and normalized.  Returns the optimized protocol
+    and its report.
     """
     if cfg is None:
         cfg = default_config()
@@ -954,11 +991,10 @@ def optimize(
         raise InvalidInputError(f"target has {target.n} sites, protocol has {p0.n}")
     _require_normalized(target, "target")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    start = lambda r: p0 if r == 0 else _randomized(p0, np.random.default_rng(seeds[r]))
     first = cfg.restarts if cfg.good_enough is None else min(2, cfg.restarts)
     waves = (range(first), range(first, cfg.restarts))
     runs = (run for wave in waves if wave
-            for run in _run_sweeps(_SweepState([start(r) for r in wave], target), cfg))
+            for run in _run_sweeps(_SweepState(p0, _wave_params(p0, seeds, wave), len(wave), target), cfg))
     best = None
     for restarts_used, run in enumerate(runs, start=1):
         if best is None or run[0][-1] < best[0][-1]:

@@ -55,5 +55,5 @@ def pairs_to_complex(pairs) -> np.ndarray | None:
 
 
 def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (CSV cells)."""
-    return format(float(x), ".17g")
+    """A CSV cell: 17 significant digits, or repr for a whole float ("1.0"), so it reads as a float."""
+    return repr(float(x)) if float(x).is_integer() else format(float(x), ".17g")

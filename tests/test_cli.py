@@ -389,3 +389,20 @@ def test_csv_floats_use_17_significant_digits(tmp_path):
     assert fmt17(x) == format(x, ".17g")
     assert float(fmt17(x)) == x
     assert float(fmt17(1e-300)) == 1e-300
+    # A whole float keeps its point, so a reader that types cells reads a float.
+    assert [fmt17(y) for y in (0.0, -0.0, 1.0, 1e16)] == ["0.0", "-0.0", "1.0", "1e+16"]
+    assert [fmt17(y) for y in (float("inf"), float("nan"))] == ["inf", "nan"]
+
+
+def test_fig1_float_cells_read_back_as_floats(monkeypatch, capsys):
+    rows = []
+    csv_text = cli._csv_text
+    monkeypatch.setattr(cli, "_csv_text", lambda r: rows.extend(r) or csv_text(r))
+    assert main(FIG1_SMALL) == 0
+    cells = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    floats = [key for key, x in rows[0].items() if isinstance(x, float)]
+    assert floats == ["error", "fidelity"] and len(cells) == len(rows)
+    for text in (row[key] for row in cells for key in floats):
+        with pytest.raises(ValueError):
+            int(text)
+        float(text)

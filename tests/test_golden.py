@@ -12,10 +12,14 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqmps
 from seqmps.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -84,6 +88,33 @@ def test_command_answers_match_golden(name):
     got = run_case(CASES[name])
     assert got["exit_code"] == want["exit_code"]
     assert_matches(got["output"], want["output"])
+
+
+# Runs every case in a fresh process and prints their parsed outputs as one JSON object.
+ALL_CASES = """
+import json
+import seqmps
+import test_golden
+print(json.dumps({name: test_golden.run_case(argv) for name, argv in test_golden.CASES.items()}))
+"""
+
+
+def test_command_answers_match_golden_at_two_blas_threads():
+    # SEQMPS_THREADS is read when seqmps is imported, before numpy loads its
+    # BLAS, so the cases run in a subprocess; the BLAS variables it would set
+    # are cleared, so the setting is not overridden.
+    src = str(Path(seqmps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, str(GOLDEN.parent), os.environ.get("PYTHONPATH")]))
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(PYTHONPATH=path, SEQMPS_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", ALL_CASES], env=env, capture_output=True, text=True,
+                         check=True)
+    got, golden = json.loads(out.stdout), json.loads(GOLDEN.read_text())
+    assert list(got) == list(CASES)
+    for name, case in got.items():
+        assert case["exit_code"] == golden[name]["exit_code"], name
+        assert_matches(case["output"], golden[name]["output"], name)
 
 
 if __name__ == "__main__":

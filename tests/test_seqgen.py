@@ -664,10 +664,44 @@ def test_cnot_with_locals_fails_some_targets():
     assert report.one_minus_f > 1e-3
 
 
+def random_start(p0, seed):
+    """p0's structure at a random point of default_rng(seed), drawn one matrix at a time.
+
+    The couplings are uniform over the coupling box, then each local field
+    takes one haar_unitary per step.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = p0.model.coupling_interval()
+    couplings = None if p0.couplings is None else rng.uniform(lo, hi, size=p0.couplings.shape)
+    stacks = {name: None if getattr(p0, name) is None
+              else np.stack([linalg.haar_unitary(len(u), rng) for u in getattr(p0, name)])
+              for name in ("local_ancilla", "local_qubit_pre", "local_qubit_post")}
+    return dataclasses.replace(p0, couplings=couplings, **stacks)
+
+
 def restart_starts(p0, cfg):
     """The start point of each of cfg.restarts runs: p0, then seeded random points."""
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    return [p0] + [seqgen._randomized(p0, np.random.default_rng(s)) for s in seeds[1:]]
+    return [p0] + [random_start(p0, s) for s in seeds[1:]]
+
+
+@pytest.mark.parametrize("kind, d, gate", [("xy", 2, None), ("xy", 2, CNOT), ("full_pauli", 3, None)],
+                         ids=["xy", "cnot", "full_pauli-3"])
+def test_wave_starts_are_each_restarts_own_draws(kind, d, gate):
+    # A wave's starts, drawn per field in stacks and phase-fixed by one QR,
+    # are byte for byte the records of each restart drawn alone.
+    p0 = seqmps.make_protocol(GeneratorModel(kind, d), 3, with_ancilla=True, with_qubit_pre=True,
+                              with_qubit_post=True, fixed_gate=gate)
+    cfg = seqmps.default_config(seed=9, restarts=5)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    starts = restart_starts(p0, cfg)
+    for wave in (range(1), range(2), range(2, 5)):
+        got = seqgen._wave_params(p0, seeds, wave)
+        want = [starts[r]._params for r in wave]
+        assert got.keys() == want[0].keys()
+        for key, a in got.items():
+            stacked = np.stack([w[key] for w in want], axis=1)
+            assert (a.dtype, a.shape, a.tobytes()) == (stacked.dtype, stacked.shape, stacked.tobytes())
 
 
 def test_optimize_respects_restart_budget():
@@ -692,9 +726,10 @@ def test_later_restarts_wait_for_the_first_batch(monkeypatch):
     # built and swept, as one more batch, only if neither reaches good_enough.
     # Without good_enough every restart runs, so they all sweep at once.
     batches, built = [], []
-    run_sweeps, randomized = seqgen._run_sweeps, seqgen._randomized
+    run_sweeps, wave_params = seqgen._run_sweeps, seqgen._wave_params
     monkeypatch.setattr(seqgen, "_run_sweeps", lambda st, cfg: batches.append(len(st.rows)) or run_sweeps(st, cfg))
-    monkeypatch.setattr(seqgen, "_randomized", lambda p, rng: built.append(1) or randomized(p, rng))
+    monkeypatch.setattr(seqgen, "_wave_params", lambda p, seeds, wave:
+                        built.extend(r for r in wave if r > 0) or wave_params(p, seeds, wave))
     p0 = seqmps.make_protocol(GeneratorModel("xy"), 3, with_ancilla=True, with_qubit_pre=True,
                               with_qubit_post=True, fixed_gate=CNOT)
     product, hard = seqmps.random_mps(3, 1, seed=4), seqmps.random_mps(3, 2, seed=0)
@@ -881,7 +916,8 @@ def bell_coupling_case(kind_m, bonds, seed):
 def test_coupling_harmonics_give_the_exact_profile(kind_m, bonds, seed):
     coef, brute, (lo, hi), rng = bell_coupling_case(kind_m, bonds, seed)
     for theta in rng.uniform(lo - 1.0, hi + 1.0, 8):
-        profile = seqgen._harmonic_sum(coef, 2.0 * np.pi * theta / (hi - lo))
+        ph = 2.0 * np.pi * theta / (hi - lo)
+        profile = seqgen._harmonic_sum(coef, np.exp(1j * ph), np.exp(2j * ph))
         assert abs(profile - brute(theta)) <= 1e-12
 
 
@@ -992,6 +1028,40 @@ def test_each_walk_folds_each_passed_step_once(monkeypatch):
     # start and after each sweep in which some restart took an extrapolation,
     # then each half-sweep folds n - 1 steps behind it.
     assert len(calls) == (n - 1) * (1 + sum(taken.any() for taken in accepted) + 2 * report.sweeps)
+
+
+UPDATE_STEP = seqgen._update_step
+
+
+@pytest.mark.parametrize("kind, d", [("xy", 2), ("xxz", 2), ("ion_xy", 2), ("full_pauli", 2),
+                                     ("full_pauli", 3), ("cnot", 2)])
+def test_walk_turns_reuse_the_step_map_bit_for_bit(monkeypatch, kind, d):
+    # A step updated twice in a row (where a walk turns) starts from the map,
+    # product and vector its last update ended with.  Every update leaves the
+    # same bytes as it does with that reuse switched off.
+    turns = []
+
+    def sweep(clear):
+        after = []
+
+        def update(st, i):
+            turns.append(i in st.kept and not clear)
+            if clear:
+                st.kept = {}
+            UPDATE_STEP(st, i)
+            state = [*st.v_sites, *st.lefts, *st.tails, *st.params.values()]
+            after.append([a.tobytes() for a in state if a is not None] + [repr(st.history)])
+
+        with monkeypatch.context() as m:
+            m.setattr(seqgen, "_update_step", update)
+            p, report = seqmps.optimize(any_protocol(kind, d, 3, seed=4), target, cfg)
+        return after, p.to_json(), report.history
+
+    target = seqmps.random_mps(3, 2, seed=5)
+    cfg = seqmps.default_config(tol=1e-4, max_sweeps=8, restarts=3, good_enough=None, seed=6)
+    assert sweep(clear=False) == sweep(clear=True)
+    # Each sweep turns at the top step at least: 1 of its 2n = 6 updates.
+    assert sum(turns) >= len(turns) // 12
 
 
 # (model kind, d) of the batch property; "cnot" is xy with a fixed CNOT core.
