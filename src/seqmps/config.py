@@ -1,10 +1,12 @@
-"""Shared sweep/restart configuration, stopping rule and descent check of the two variational optimizers."""
+"""Sweep/restart configuration (four fields and a constant early stop), stopping rule and
+descent check shared by the two variational optimizers."""
 
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +41,7 @@ def stalled(prev, cost, cfg, good_enough=None):
 class OptimizationConfig:
     """Knobs for sweeping optimizers.
 
-    compress_variational reads tol and max_sweeps; optimize reads all five.
+    compress_variational reads tol and max_sweeps; optimize reads them all.
 
     tol: convergence threshold on the sweep-to-sweep change of the cost;
         tested as |delta| <= tol * (1 + cost), i.e. relative for O(1) costs
@@ -49,23 +51,21 @@ class OptimizationConfig:
         first run always starts from the caller's initial point.
     seed: non-negative root seed; per-restart streams are split from it
         deterministically.
-    good_enough: skip remaining restarts once a run's final cost is at or
-        below this (optimize sweeps restarts in lockstep batches, drops the
-        later ones from a batch then and starts no further batch); None
-        disables the shortcut.
+    good_enough: a constant, not a field: optimize skips the remaining
+        restarts once a run's final cost is at or below it (its restarts
+        sweep in lockstep batches; the later ones leave a batch then, and no
+        further batch starts).
     """
 
     tol: float = COMPRESS_TOL
     max_sweeps: int = COMPRESS_MAX_SWEEPS
     restarts: int = 1
     seed: int = 0
-    good_enough: float | None = GOOD_ENOUGH_COST
+    good_enough: ClassVar[float] = GOOD_ENOUGH_COST
 
     def __post_init__(self):
         if not 0 <= self.tol < math.inf:
             raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.good_enough is not None and not math.isfinite(self.good_enough):
-            raise InvalidInputError(f"good_enough must be finite, got {self.good_enough}")
         check_count(self.max_sweeps, "max_sweeps", 1)
         check_count(self.restarts, "restarts", 1)
         check_count(self.seed, "seed", 0)

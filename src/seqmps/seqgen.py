@@ -21,12 +21,13 @@ the protocol is 2 (1 - F), the squared distance between the joint state and
 (best phi_f) x target.
 
 The optimizer sweeps step by step.  Its free parameters form one record
-keyed by chain slot (Protocol._params): unitary stacks for ua (U^A x 1),
-ub_pre (1 x U^{B_I}), ub_post (1 x U^{B_F}) and a full_pauli core, or the
-couplings of a Bell-diagonal core; absent locals and a fixed gate are left
-out.  One builder, _chain, turns a record into every step's ordered factor
-chain [(slot, 2d x 2d stack)], multiplied out from the right; site tensors,
-step unitaries and the sweep state all come from it.  The factors are
+keyed by Protocol field (Protocol._params), each key also a chain slot:
+unitary stacks for local_ancilla (U^A x 1), local_qubit_pre (1 x U^{B_I}),
+local_qubit_post (1 x U^{B_F}) and a full_pauli "core", or the couplings of
+a Bell-diagonal core; absent locals and a fixed gate are left out.  One
+builder, _chain, turns a record into every step's ordered factor chain
+[(slot, 2d x 2d stack)], multiplied out from the right; site tensors, step
+unitaries and the sweep state all come from it.  The factors are
 updated one at a time against their environment (Evenbly & Vidal, PRB 79,
 144108 (2009)).  The ancilla vector of a step is linear in its unitary,
 v = K vec(U), and the map K (d x 4d^2) is built per step update from the two
@@ -50,11 +51,12 @@ coordinate sweeps crawl down; it takes integer powers of each unitary slot's
 last move by projected squaring, with no eigendecomposition, and scores
 every baseline's first candidate in one stack.
 
-Restarts sweep in lockstep batches along a leading restart axis, which every
-step kernel lets ride along; each row computes the bits it computes alone.
-A batch's _SweepState owns everything that follows its rows: the parameters,
-chains, sites, environments and extrapolation snapshots.  The batches, their
-random starts and when a row leaves one are described at optimize.
+Restarts sweep in two lockstep batches along a leading restart axis, which
+every step kernel lets ride along; each row computes the bits it computes
+alone.  A batch's _SweepState owns everything that follows its rows: the
+parameters, chains, sites, environments and extrapolation snapshots.  The
+batches, their random starts and when a row leaves one are described at
+optimize.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from .tolerances import (
     FIDELITY_SLACK,
     GATE_UNITARITY_ATOL,
     LOCAL_UNITARITY_ATOL,
-    REPORT_COST_ATOL,
     SEQGEN_MAX_SWEEPS,
     SEQGEN_RESTARTS,
     SEQGEN_TOL,
@@ -117,8 +118,8 @@ _BELL_KINDS = {
 }
 MODEL_KINDS = (*_BELL_KINDS, "full_pauli")
 
-# Chain slot -> Protocol field of each local unitary stack.
-_LOCAL_FIELDS = {"ua": "local_ancilla", "ub_pre": "local_qubit_pre", "ub_post": "local_qubit_post"}
+# Protocol fields of the local unitary stacks, in draw order.
+_LOCALS = ("local_ancilla", "local_qubit_pre", "local_qubit_post")
 
 # CNOT with the ancilla as control and the qubit as target (basis |a, q>).
 CNOT = np.kron(np.diag([1.0, 0.0]), SIGMA[0]) + np.kron(np.diag([0.0, 1.0]), SIGMA[1])
@@ -289,10 +290,10 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def _embed(slot: str, factor: np.ndarray, d: int) -> np.ndarray:
-    """A slot's unitary on ancilla x qubit: kron(ua, 1), the core itself, or kron(1, ub)."""
+    """A slot's unitary on ancilla x qubit: kron(U^A, 1), the core itself, or kron(1, U^B)."""
     if slot == "core":
         return factor
-    a, b = (factor, _identity(2)) if slot == "ua" else (_identity(d), factor)
+    a, b = (factor, _identity(2)) if slot == "local_ancilla" else (_identity(d), factor)
     kron = a[..., :, None, :, None] * b[..., None, :, None, :]
     return kron.reshape(*factor.shape[:-2], 2 * d, 2 * d)
 
@@ -313,7 +314,7 @@ def _chain(p: Protocol, params: dict, lead: tuple) -> list:
     else:
         core = np.broadcast_to(p.fixed_gate, (*lead, *p.fixed_gate.shape))
     factors = {**params, "core": core}
-    order = ("ua", "ub_pre", "core", "ub_post")
+    order = ("local_ancilla", "local_qubit_pre", "core", "local_qubit_post")
     return [(slot, _embed(slot, factors[slot], p.model.d_ancilla)) for slot in order if slot in factors]
 
 
@@ -454,7 +455,7 @@ class Protocol:
             _check_unit(inits[k], f"qubit_inits[{k}]", 2)
         object.__setattr__(self, "qubit_inits", inits)
         object.__setattr__(self, "phi_i", _check_unit(self.phi_i, "phi_i", d))
-        for name, dim in (("local_ancilla", d), ("local_qubit_pre", 2), ("local_qubit_post", 2)):
+        for name, dim in zip(_LOCALS, (d, 2, 2)):
             stack = getattr(self, name)
             if stack is not None:
                 stack = _check_unitary(stack, name, (self.n, dim, dim), LOCAL_UNITARITY_ATOL)
@@ -462,11 +463,11 @@ class Protocol:
 
     @property
     def _params(self) -> dict:
-        """Free parameters by slot: present local stacks, and the couplings unless the gate is fixed.
+        """Free parameters by field: present local stacks, and the couplings unless the gate is fixed.
 
         A full_pauli protocol gives its core unitaries instead, one entangler call per row.
         """
-        params = {slot: getattr(self, name) for slot, name in _LOCAL_FIELDS.items()}
+        params = {name: getattr(self, name) for name in _LOCALS}
         if self.model.kind in _BELL_KINDS:
             params["couplings"] = self.couplings
         elif self.couplings is not None:
@@ -481,7 +482,7 @@ class Protocol:
             "couplings": None if self.couplings is None else self.couplings.tolist(),
             "qubit_inits": complex_to_pairs(self.qubit_inits),
             "phi_i": complex_to_pairs(self.phi_i),
-            **{key: complex_to_pairs(getattr(self, key)) for key in (*_LOCAL_FIELDS.values(), "fixed_gate")},
+            **{key: complex_to_pairs(getattr(self, key)) for key in (*_LOCALS, "fixed_gate")},
         }
         return json.dumps(doc)
 
@@ -494,7 +495,7 @@ class Protocol:
                 couplings=None if doc["couplings"] is None else np.asarray(doc["couplings"]),
                 qubit_inits=pairs_to_complex(doc["qubit_inits"]),
                 phi_i=pairs_to_complex(doc["phi_i"]),
-                **{key: pairs_to_complex(doc[key]) for key in (*_LOCAL_FIELDS.values(), "fixed_gate")},
+                **{key: pairs_to_complex(doc[key]) for key in (*_LOCALS, "fixed_gate")},
             )
 
         return load_document(text, build)
@@ -550,14 +551,13 @@ def simulate(p: Protocol) -> Mps:
 class FidelityReport:
     """Outcome of a fidelity evaluation or protocol optimization.
 
-    fidelity = ||v|| for the leftover ancilla vector v, cost = 2 (1 - F),
-    phi_f_optimal = v / ||v||.  history holds per-update cost values of the
-    winning run (non-increasing within MONOTONE_SLACK); sweeps counts its
-    full sweeps.
+    fidelity = ||v|| for the leftover ancilla vector v, phi_f_optimal =
+    v / ||v||, and the derived cost = 2 (1 - F).  history holds per-update
+    cost values of the winning run (non-increasing within MONOTONE_SLACK);
+    sweeps counts its full sweeps.
     """
 
     fidelity: float
-    cost: float
     phi_f_optimal: np.ndarray
     history: list[float] = field(default_factory=list)
     sweeps: int = 0
@@ -567,10 +567,12 @@ class FidelityReport:
     def __post_init__(self):
         if not -FIDELITY_SLACK <= self.fidelity <= FIDELITY_CLAMP:
             raise InvalidInputError(f"fidelity {self.fidelity} outside [0, 1]")
-        if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > REPORT_COST_ATOL:
-            raise InvalidInputError("cost is not 2 (1 - fidelity)")
         if not non_increasing(self.history):
             raise InvalidInputError("history is not non-increasing")
+
+    @property
+    def cost(self) -> float:
+        return 2.0 * (1.0 - self.fidelity)
 
     @property
     def one_minus_f(self) -> float:
@@ -610,9 +612,8 @@ def _report(v: np.ndarray, d: int, history=None, **fields) -> FidelityReport:
     """Report of the leftover ancilla vector v; history defaults to its one cost."""
     f = min(float(np.linalg.norm(v)), FIDELITY_CLAMP)
     phi_f = v / f if f > ZERO_NORM else _basis_vec(d)
-    cost = 2.0 * (1.0 - f)
-    history = [cost] if history is None else history
-    return FidelityReport(fidelity=f, cost=cost, phi_f_optimal=phi_f, history=history, **fields)
+    history = [2.0 * (1.0 - f)] if history is None else history
+    return FidelityReport(fidelity=f, phi_f_optimal=phi_f, history=history, **fields)
 
 
 def _basis_vec(d: int) -> np.ndarray:
@@ -681,8 +682,7 @@ def _to_protocol(p: Protocol, params: dict) -> Protocol:
     couplings = params.get("couplings")
     if "core" in params:
         couplings = np.array([_log_couplings(u) for u in params["core"]])
-    stacks = {name: params.get(slot) for slot, name in _LOCAL_FIELDS.items()}
-    return replace(p, couplings=couplings, **stacks)
+    return replace(p, couplings=couplings, **{name: params.get(name) for name in _LOCALS})
 
 
 _PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
@@ -804,7 +804,7 @@ def _update_step(st: _SweepState, i: int) -> None:
             if slot != "core":
                 # Trace out the identity part of the factor: the qubit of
                 # U^A x 1, the ancilla of 1 x U^B.
-                axes = (-3, -1) if slot == "ua" else (-4, -2)
+                axes = (-3, -1) if slot == "local_ancilla" else (-4, -2)
                 env = env.reshape(*env.shape[:-2], st.d, 2, st.d, 2).trace(axis1=axes[0], axis2=axes[1])
             factor = procrustes_unitary(env)
             st.params[slot][i] = factor
@@ -924,8 +924,7 @@ def _run_sweeps(st: _SweepState, cfg: OptimizationConfig) -> list:
         for j in np.flatnonzero(done | (sweep == cfg.max_sweeps)):
             params = {key: a[:, j].copy() for key, a in st.params.items()}
             runs[st.rows[j]] = (st.history[j], params, sweep, bool(done[j]))
-        solved = st.rows[cost <= cfg.good_enough] if cfg.good_enough is not None else []
-        keep = ~done & (st.rows < min(solved, default=len(runs)))
+        keep = ~done & (st.rows < min(st.rows[cost <= cfg.good_enough], default=len(runs)))
         if sweep == cfg.max_sweeps or not keep.any():
             break
         st.keep(keep)
@@ -937,7 +936,7 @@ def _wave_params(p0: Protocol, seeds: list, wave: range) -> dict:
 
     Restart r > 0 draws from default_rng(seeds[r]) as if alone: couplings
     uniform over the coupling box, then a real and an imaginary Gaussian
-    block per matrix of ua, ub_pre and ub_post, phase-fixed by one QR per field.
+    block per matrix of each local stack, phase-fixed by one QR per field.
     """
     rngs = [np.random.default_rng(seeds[r]) for r in wave if r > 0]
     drawn = {}
@@ -946,11 +945,11 @@ def _wave_params(p0: Protocol, seeds: list, wave: range) -> dict:
         drawn["couplings"] = np.array([rng.uniform(lo, hi, size=p0.couplings.shape) for rng in rngs])
         if p0.model.kind not in _BELL_KINDS:
             drawn["core"] = np.array([[p0.model.entangler(c) for c in row] for row in drawn.pop("couplings")])
-    for slot, name in _LOCAL_FIELDS.items():
+    for name in _LOCALS:
         if rngs and getattr(p0, name) is not None:
             n, dim, _ = getattr(p0, name).shape
             g = np.array([rng.standard_normal((n, 2, dim, dim)) for rng in rngs])
-            drawn[slot] = _phase_fixed_qr(g[:, :, 0] + 1j * g[:, :, 1])
+            drawn[name] = _phase_fixed_qr(g[:, :, 0] + 1j * g[:, :, 1])
     records = [p0._params] * (wave[0] == 0) + [{k: a[j] for k, a in drawn.items()} for j in range(len(rngs))]
     return {key: np.stack([r[key] for r in records], axis=1) for key in records[0]}
 
@@ -973,17 +972,16 @@ def optimize(
     get Procrustes updates and Bell-diagonal couplings their exact argmax (see
     module docstring).  cfg.restarts independent runs, the first from p0 itself
     and the rest from seeded random points (a batch's drawn as one stack per
-    field by _wave_params, each bit for bit as alone), sweep in lockstep
+    field by _wave_params, each bit for bit as alone), sweep in two lockstep
     batches: p0's run beside the first random start, then the rest only if
     neither reaches cfg.good_enough (rows riding beside a run that solves are
-    wasted work; with good_enough None every run sweeps, all at once).  A run
-    leaves its batch when its own stopping rule fires (config.stalled, or
-    cfg.max_sweeps); once a run ends at or below cfg.good_enough, the runs of
-    later restarts leave with it.  The winner is the first run at or below
-    good_enough, else the lowest final cost (the earliest on a tie), so the
-    result, restarts_used included, is what the runs would give one at a time.
-    The target must be closed and normalized.  Returns the optimized protocol
-    and its report.
+    wasted work).  A run leaves its batch when its own stopping rule fires
+    (config.stalled, or cfg.max_sweeps); once a run ends at or below
+    cfg.good_enough, the runs of later restarts leave with it.  The winner is
+    the first run at or below good_enough, else the lowest final cost (the
+    earliest on a tie), so the result, restarts_used included, is what the
+    runs would give one at a time.  The target must be closed and normalized.
+    Returns the optimized protocol and its report.
     """
     if cfg is None:
         cfg = default_config()
@@ -991,15 +989,14 @@ def optimize(
         raise InvalidInputError(f"target has {target.n} sites, protocol has {p0.n}")
     _require_normalized(target, "target")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    first = cfg.restarts if cfg.good_enough is None else min(2, cfg.restarts)
-    waves = (range(first), range(first, cfg.restarts))
+    waves = (range(min(2, cfg.restarts)), range(2, cfg.restarts))
     runs = (run for wave in waves if wave
             for run in _run_sweeps(_SweepState(p0, _wave_params(p0, seeds, wave), len(wave), target), cfg))
     best = None
     for restarts_used, run in enumerate(runs, start=1):
         if best is None or run[0][-1] < best[0][-1]:
             best = run
-        if cfg.good_enough is not None and run[0][-1] <= cfg.good_enough:
+        if run[0][-1] <= cfg.good_enough:
             break
     history, params, sweeps, converged = best
     if not non_increasing(history):

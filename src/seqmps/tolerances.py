@@ -6,9 +6,8 @@ ad hoc at call sites.  Values are absolute unless noted otherwise.
 
 # Input validation for the dense linear algebra kernels.
 HERMITICITY_ATOL = 1e-12      # max |h - h^dag| accepted by eigh, relative to max(1, |h|)
-UNITARITY_ATOL = 1e-12        # max |u^dag u - 1| accepted where a unitary is required
 STATE_NORM_ATOL = 1e-12       # single-system state vectors must be normalized to this
-LOCAL_UNITARITY_ATOL = 1e3 * UNITARITY_ATOL  # per-step local unitary stacks of a Protocol
+LOCAL_UNITARITY_ATOL = 1e-9   # max |u^dag u - 1| of a Protocol's per-step local unitary stacks
 GATE_UNITARITY_ATOL = 1e-8    # a fixed entangling gate given to a Protocol or build_step_unitary
 TARGET_NORM_ATOL = 1e-8       # | ||target|| - 1 | accepted for a compression, fidelity or optimize target
 
@@ -17,9 +16,6 @@ RANK_RTOL = 1e-12
 
 # Monotone sweep assertions (exact local minimization plus roundoff).
 MONOTONE_SLACK = 1e-12
-
-# A FidelityReport's cost must equal 2 (1 - fidelity) within this.
-REPORT_COST_ATOL = 1e-12
 
 # Fidelities are clamped to FIDELITY_CLAMP against roundoff; reports accept
 # values in [-FIDELITY_SLACK, FIDELITY_CLAMP].

@@ -271,7 +271,7 @@ def test_site_environment_matches_its_definition(dims, up, seed):
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
 
 
-KEEP_CFG = OptimizationConfig(tol=0.0, max_sweeps=4, good_enough=None)
+KEEP_CFG = OptimizationConfig(tol=0.0, max_sweeps=4)
 
 
 def test_kept_environments_equal_a_fresh_fold(monkeypatch):

@@ -25,18 +25,29 @@ from seqmps.cli import main
 GOLDEN = Path(__file__).with_name("golden.json")
 GOLDEN_ATOL = 1e-12
 
-# The commands of the CI workflow's numpy-only block, and generate on its default xy model.
+# One small run of every command.  CI runs these before scipy is installed,
+# so they pin the answers on numpy alone.
 CASES = {
+    # A full_pauli core: one Procrustes factor, its couplings read off its logarithm.
     "generate-full_pauli-w3": ["--command", "generate", "--model", "full_pauli", "--n", "3", "--target", "w"],
+    # The seqgen-generate path: xy couplings plus ancilla unitaries.
     "generate-xy-w4": ["--command", "generate", "--n", "4", "--target", "w"],
     "compress-xxz-n6-d2": ["--command", "compress", "--target", "xxz", "--n", "6", "--dprime", "2"],
+    # compress-scan's random shape, which runs into the sweep cap.
     "compress-random-n24-D8-d4": ["--command", "compress", "--target", "random", "--n", "24", "--bond", "8",
                                   "--dprime", "4", "--max-sweeps", "30"],
+    # The README's GHZ landmark: truncation's site-1 normalization, error 2 - sqrt(2).
     "compress-ghz-n8-d1-truncation": ["--command", "compress", "--target", "ghz", "--n", "8", "--dprime", "1",
                                       "--method", "truncation"],
+    # Truncation, ALS and canonicalize_left.
     "fig1-n6-bond4": ["--command", "fig1", "--n", "6", "--bond", "4"],
+    # The batched Bell coupling search (fig3's xy couplings).
     "fig3-n4": ["--command", "fig3", "--n", "4"],
+    # The full_local start with all three local stacks; target seed 3001
+    # needs a third restart, so the second restart batch runs too.
     "random-suite-n3-count2": ["--command", "random-suite", "--n", "3", "--count", "2"],
+    # The restart batch with a fixed gate and all locals, and a batch that
+    # shrinks once the product-state target is solved.
     "cnot-test-n3-count2": ["--command", "cnot-test", "--n", "3", "--count", "2"],
 }
 
